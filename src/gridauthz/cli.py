@@ -16,7 +16,7 @@ from pathlib import Path
 from .engine import AuthorizationRequest, JobContext, MANAGEMENT_ACTIONS, authorize
 from .policy import GridIdentity, PolicyError, lint_policy, parse_policy
 from .rsl import JobDescription, RslError, apply_defaults, parse_rsl, to_job_description
-from .service import Service, ServiceConfig, send_request
+from .service import Service, ServiceConfig, _q, send_request
 
 
 def main(argv=None) -> int:
@@ -85,11 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _quote(value: str) -> str:
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
 def _client(args, line: str) -> int:
     config = ServiceConfig.from_file(args.config)
     response = send_request(config.listen_endpoint, line)
@@ -113,15 +108,15 @@ def cmd_serve(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    return _client(args, f"SUBMIT dn={_quote(args.dn)} rsl={_quote(args.rsl)}")
+    return _client(args, f"SUBMIT dn={_q(args.dn)} rsl={_q(args.rsl)}")
 
 
 def cmd_cancel(args) -> int:
-    return _client(args, f"CANCEL dn={_quote(args.dn)} job={_quote(args.job)}")
+    return _client(args, f"CANCEL dn={_q(args.dn)} job={_q(args.job)}")
 
 
 def cmd_signal(args) -> int:
-    line = f"SIGNAL dn={_quote(args.dn)} job={_quote(args.job)} kind={args.kind}"
+    line = f"SIGNAL dn={_q(args.dn)} job={_q(args.job)} kind={args.kind}"
     if args.kind == "priority":
         if args.value is None:
             print("signal priority needs --value", file=sys.stderr)
@@ -131,15 +126,15 @@ def cmd_signal(args) -> int:
 
 
 def cmd_status(args) -> int:
-    return _client(args, f"STATUS dn={_quote(args.dn)} job={_quote(args.job)}")
+    return _client(args, f"STATUS dn={_q(args.dn)} job={_q(args.job)}")
 
 
 def cmd_list(args) -> int:
     line = "LIST"
     if args.jobtag:
-        line += f" jobtag={_quote(args.jobtag)}"
+        line += f" jobtag={_q(args.jobtag)}"
     if args.owner:
-        line += f" owner={_quote(args.owner)}"
+        line += f" owner={_q(args.owner)}"
     if args.state:
         line += f" state={args.state}"
     return _client(args, line)

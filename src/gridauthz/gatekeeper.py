@@ -14,7 +14,12 @@ from .callout import CalloutArgs, CalloutOutcome, Callouts, CalloutResult, GRAM_
 from .engine import Decision, Outcome
 from . import callout as _callout
 from .policy import GridIdentity, IdentitySyntaxError
-from .rsl import JobDescription, apply_defaults, description_to_rsl, parse_rsl, to_job_description
+from .rsl import (JobDescription, RepeatedAttribute, apply_defaults, description_to_rsl,
+                  parse_rsl, to_job_description)
+
+# a job has one of each; a second value would be admitted under one reading
+# of the request and managed under another
+SINGLE_VALUED = ("executable", "directory", "count", "jobtag", "maxtime")
 
 
 class GridmapSyntaxError(ValueError):
@@ -122,6 +127,9 @@ def admit(
     a gridmap miss, PolicyDenied / PolicyFailure on the PEP outcome.
     """
     description = apply_defaults(to_job_description(parse_rsl(rsl_text)))
+    for name in SINGLE_VALUED:
+        if len(description.get(name) or ()) > 1:
+            raise RepeatedAttribute(name)
     try:
         account = authorize_and_map(gridmap, requester)
     except NotAuthorized:

@@ -43,6 +43,16 @@ TERMINAL_STATES = {JobState.DONE, JobState.FAILED, JobState.CANCELED}
 
 SIGNAL_KINDS = ("suspend", "resume", "priority")
 
+# job event -> (the state it moves a job to, the one state it must leave,
+# or None for any state LEGAL_TRANSITIONS allows)
+STATE_EVENTS = {
+    "dispatched": (JobState.ACTIVE, JobState.PENDING),
+    "resumed": (JobState.ACTIVE, JobState.SUSPENDED),
+    "suspended": (JobState.SUSPENDED, None),
+    "done": (JobState.DONE, None),
+    "canceled": (JobState.CANCELED, None),
+}
+
 
 class JobManagerError(Exception):
     pass
@@ -145,13 +155,36 @@ class JobManager:
         if self.on_event:
             self.on_event(record, event, actor, time, payload)
 
-    def _transition(self, record: JobRecord, new_state: JobState,
-                    event: str, actor: str, time: int, **payload):
-        if new_state not in LEGAL_TRANSITIONS[record.state]:
-            raise InvalidTransition(
-                record.job_id, record.state,
-                f"cannot move to {new_state.value}")
-        record.state = new_state
+    def _apply(self, record: JobRecord, event: str, actor: str, time: int, **payload):
+        """Apply one job event: the only change made to a job after it is created.
+
+        Live operations call it once their own checks pass; replay calls it
+        for every logged event after ``created``.
+        """
+        if event == "priority-changed":
+            if record.state in TERMINAL_STATES:
+                raise InvalidTransition(record.job_id, record.state,
+                                        "cannot change priority of a finished job")
+            record.priority = int(payload["value"])
+        elif event in STATE_EVENTS:
+            new_state, source = STATE_EVENTS[event]
+            if new_state not in LEGAL_TRANSITIONS[record.state] or \
+                    source not in (None, record.state):
+                raise InvalidTransition(
+                    record.job_id, record.state,
+                    f"cannot move to {new_state.value}")
+            if record.active_since is not None:
+                record.active_time += time - record.active_since
+                record.active_since = None
+            record.state = new_state
+            if new_state is JobState.ACTIVE:
+                record.active_since = time
+                if event == "dispatched":
+                    record.started_at = time
+            elif new_state in TERMINAL_STATES:
+                record.ended_at = time
+        else:
+            raise ValueError(f"unknown job event {event!r}")
         self._emit(record, event, actor, time, **payload)
 
     def _get(self, job_id: str) -> JobRecord:
@@ -246,12 +279,7 @@ class JobManager:
             record = self._get(job_id)
             self._require_permit(
                 self.authorize_management(record, requester, "cancel"))
-            if record.state is JobState.ACTIVE and record.active_since is not None:
-                record.active_time += self.clock - record.active_since
-                record.active_since = None
-            self._transition(record, JobState.CANCELED, "canceled",
-                             requester.render(), self.clock)
-            record.ended_at = self.clock
+            self._apply(record, "canceled", requester.render(), self.clock)
             return record
 
     def signal(self, job_id: str, requester: GridIdentity, kind: str,
@@ -266,25 +294,16 @@ class JobManager:
                 self.authorize_management(record, requester, "signal", kind))
             actor = requester.render()
             if kind == "suspend":
-                if record.active_since is not None:
-                    record.active_time += self.clock - record.active_since
-                    record.active_since = None
-                self._transition(record, JobState.SUSPENDED, "suspended",
-                                 actor, self.clock)
+                self._apply(record, "suspended", actor, self.clock)
             elif kind == "resume":
                 if record.state is not JobState.SUSPENDED:
                     raise InvalidTransition(job_id, record.state,
                                             "only a suspended job can be resumed")
                 if self._active_count() >= self.config.slots:
                     raise InvalidTransition(job_id, record.state, "no free slot for resume")
-                self._transition(record, JobState.ACTIVE, "resumed", actor, self.clock)
-                record.active_since = self.clock
+                self._apply(record, "resumed", actor, self.clock)
             else:
-                if record.state in TERMINAL_STATES:
-                    raise InvalidTransition(job_id, record.state,
-                                            "cannot change priority of a finished job")
-                record.priority = value
-                self._emit(record, "priority-changed", actor, self.clock, value=value)
+                self._apply(record, "priority-changed", actor, self.clock, value=value)
             return record
 
     def status(self, job_id: str, requester: GridIdentity) -> dict:
@@ -321,10 +340,7 @@ class JobManager:
                 total = record.active_time + (now - record.active_since)
                 if total >= record.duration:
                     finish = record.active_since + (record.duration - record.active_time)
-                    record.active_time = record.duration
-                    record.active_since = None
-                    self._transition(record, JobState.DONE, "done", "scheduler", finish)
-                    record.ended_at = finish
+                    self._apply(record, "done", "scheduler", finish)
                     changes.append((record.job_id, JobState.DONE.value))
             pending = sorted(
                 (r for r in self.jobs.values() if r.state is JobState.PENDING),
@@ -332,9 +348,7 @@ class JobManager:
             )
             free = self.config.slots - self._active_count()
             for record in pending[: max(free, 0)]:
-                self._transition(record, JobState.ACTIVE, "dispatched", "scheduler", now)
-                record.started_at = now
-                record.active_since = now
+                self._apply(record, "dispatched", "scheduler", now)
                 changes.append((record.job_id, JobState.ACTIVE.value))
             self.clock = now
             return changes

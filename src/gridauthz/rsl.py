@@ -53,6 +53,12 @@ class SpecialValueInRequest(RslError):
         super().__init__(f"NULL/SELF not allowed in a job description (attribute {attribute!r})")
 
 
+class RepeatedAttribute(RslError):
+    def __init__(self, attribute: str):
+        self.attribute = attribute
+        super().__init__(f"attribute {attribute!r} may have only one value in a job description")
+
+
 class Relation(Enum):
     EQ = "="
     NEQ = "!="

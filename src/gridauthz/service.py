@@ -52,13 +52,14 @@ from .gatekeeper import (
 from .jobmanager import (
     ClockRegression,
     DuplicateTicket,
-    HistoryEvent,
     InvalidTransition,
     JobManager,
     JobManagerConfig,
+    JobManagerError,
     JobRecord,
     JobState,
     UnknownJob,
+    _fmt,
 )
 from .policy import (
     GridIdentity,
@@ -175,12 +176,26 @@ class AuditRecord:
         )
 
 
-class AuditLog:
-    def __init__(self, path: Path):
+class _SequencedLog:
+    """An append-only file of records numbered 1, 2, 3, ... without gaps."""
+
+    def __init__(self, path: Path, sequence: int):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.sequence = _last_sequence(self.path)
+        self.sequence = sequence
         self._fh = open(self.path, "a", encoding="utf-8")
+
+    def _write(self, line: str):
+        self._fh.write(line + "\n")
+        self._fh.flush()
+
+    def close(self):
+        self._fh.close()
+
+
+class AuditLog(_SequencedLog):
+    def __init__(self, path: Path):
+        super().__init__(path, len(read_audit_log(path)))
 
     def record(self, timestamp, requester, action, job_id, decision: Decision,
                ref, source) -> AuditRecord:
@@ -196,38 +211,12 @@ class AuditLog:
             ref=ref,
             source=source,
         )
-        self._fh.write(rec.render() + "\n")
-        self._fh.flush()
+        self._write(rec.render())
         return rec
 
-    def close(self):
-        self._fh.close()
 
-
-def read_audit_log(path) -> list[dict]:
-    records = []
-    expected = 1
-    for raw in Path(path).read_text().splitlines():
-        if not raw.strip():
-            continue
-        try:
-            fields = _parse_kv_line(raw)
-            seq = int(fields["seq"])
-        except (ValueError, KeyError) as e:
-            raise CorruptLog(expected, f"unreadable record: {e}") from e
-        if seq != expected:
-            raise CorruptLog(expected, f"sequence jumped to {seq}")
-        records.append(fields)
-        expected += 1
-    return records
-
-
-class EventLog:
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.sequence = _last_sequence(self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
+class EventLog(_SequencedLog):
+    """Job events; ``sequence`` is the number already in the file."""
 
     def record(self, job_id, event, actor, time, payload: dict):
         self.sequence += 1
@@ -240,108 +229,87 @@ class EventLog:
         ]
         for key, value in payload.items():
             parts.append(f"{key}={_q('-' if value is None else value)}")
-        self._fh.write(" ".join(parts) + "\n")
-        self._fh.flush()
-
-    def close(self):
-        self._fh.close()
+        self._write(" ".join(parts))
 
 
-def _last_sequence(path: Path) -> int:
+def _read_log(path) -> list[dict]:
+    """Parse a sequenced log strictly; a missing file is an empty log.
+
+    Every non-blank line must parse and carry the next sequence number,
+    otherwise CorruptLog names the first sequence that is not there.
+    """
+    path = Path(path)
     if not path.exists():
-        return 0
-    last = 0
+        return []
+    records = []
     for raw in path.read_text().splitlines():
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            fields = _parse_kv_line(raw)
-            last = int(fields["seq"])
-        except (ValueError, KeyError):
-            continue
-    return last
-
-
-def read_event_log(path) -> list[dict]:
-    events = []
-    expected = 1
-    for raw in Path(path).read_text().splitlines():
         if not raw.strip():
             continue
+        expected = len(records) + 1
         try:
             fields = _parse_kv_line(raw)
             seq = int(fields["seq"])
-            fields["time"] = int(fields["time"])
         except (ValueError, KeyError) as e:
-            raise CorruptLog(expected, f"unreadable event: {e}") from e
+            raise CorruptLog(expected, f"unreadable record: {e}") from e
         if seq != expected:
             raise CorruptLog(expected, f"sequence jumped to {seq}")
-        events.append(fields)
-        expected += 1
+        records.append(fields)
+    return records
+
+
+def read_audit_log(path) -> list[dict]:
+    return _read_log(path)
+
+
+def read_event_log(path) -> list[dict]:
+    events = _read_log(path)
+    for ev in events:
+        try:
+            ev["time"] = int(ev["time"])
+        except (ValueError, KeyError) as e:
+            raise CorruptLog(int(ev["seq"]), f"unreadable event: {e}") from e
     return events
 
 
+_EVENT_HEADER = ("seq", "time", "job", "event", "actor")
+
+
 def replay_events(events: list[dict], jm: JobManager) -> JobManager:
-    """Rebuild the job table of ``jm`` from an event stream."""
-    max_id = 0
-    clock = 0
-    for ev in events:
-        job_id = ev["job"]
-        kind = ev["event"]
-        time = ev["time"]
-        actor = ev["actor"]
-        clock = max(clock, time)
-        if kind == "created":
-            record = JobRecord(
-                job_id=job_id,
-                owner=GridIdentity.parse(ev["owner"]),
-                account=ev["account"],
-                jobtag=None if ev.get("jobtag", "-") == "-" else ev["jobtag"],
-                description=apply_defaults(to_job_description(parse_rsl(ev["rsl"]))),
-                priority=int(ev["priority"]),
-                duration=int(ev["duration"]),
-            )
-            jm.jobs[job_id] = record
-            max_id = max(max_id, record.seq)
-        else:
-            record = jm.jobs.get(job_id)
-            if record is None:
-                raise CorruptLog(ev["seq"], f"event for unknown job {job_id}")
-            if kind == "dispatched":
-                record.state = JobState.ACTIVE
-                record.started_at = time
-                record.active_since = time
-            elif kind == "suspended":
-                if record.active_since is not None:
-                    record.active_time += time - record.active_since
-                    record.active_since = None
-                record.state = JobState.SUSPENDED
-            elif kind == "resumed":
-                record.state = JobState.ACTIVE
-                record.active_since = time
-            elif kind == "priority-changed":
-                record.priority = int(ev["value"])
-            elif kind == "done":
-                record.state = JobState.DONE
-                record.ended_at = time
-                record.active_time = record.duration
-                record.active_since = None
-            elif kind == "canceled":
-                if record.active_since is not None:
-                    record.active_time += time - record.active_since
-                    record.active_since = None
-                record.state = JobState.CANCELED
-                record.ended_at = time
-            elif kind == "failed":
-                record.state = JobState.FAILED
-                record.ended_at = time
-                record.active_since = None
-            else:
-                raise CorruptLog(ev["seq"], f"unknown event kind {kind!r}")
-        record.history.append(HistoryEvent(time, kind, actor))
-    jm._next_id = max_id + 1
-    jm.clock = clock
+    """Rebuild the job table of ``jm`` from an event stream.
+
+    Every event after ``created`` goes through ``JobManager._apply``, the
+    transitions live calls make, with ``on_event`` off so nothing is logged
+    twice.  An event the live state machine could not have written raises
+    CorruptLog.
+    """
+    on_event, jm.on_event = jm.on_event, None
+    try:
+        for ev in events:
+            try:
+                job_id, kind, time, actor = ev["job"], ev["event"], ev["time"], ev["actor"]
+                if kind == "created":
+                    if job_id in jm.jobs:
+                        raise ValueError(f"job {job_id} created twice")
+                    record = JobRecord(
+                        job_id=job_id,
+                        owner=GridIdentity.parse(ev["owner"]),
+                        account=ev["account"],
+                        jobtag=None if ev.get("jobtag", "-") == "-" else ev["jobtag"],
+                        description=apply_defaults(to_job_description(parse_rsl(ev["rsl"]))),
+                        priority=int(ev["priority"]),
+                        duration=int(ev["duration"]),
+                    )
+                    jm.jobs[job_id] = record
+                    jm._next_id = max(jm._next_id, record.seq + 1)
+                    jm._emit(record, kind, actor, time)
+                else:
+                    payload = {k: v for k, v in ev.items() if k not in _EVENT_HEADER}
+                    jm._apply(jm._get(job_id), kind, actor, time, **payload)
+                jm.clock = max(jm.clock, time)
+            except (JobManagerError, ValueError, KeyError, IndexError) as e:
+                raise CorruptLog(int(ev["seq"]), str(e)) from e
+    finally:
+        jm.on_event = on_event
     return jm
 
 
@@ -359,16 +327,15 @@ class Service:
             registry = make_builtin_registry(lambda: self._policies)
         self.callouts = Callouts(self.callout_config, registry)
         self.audit_log = AuditLog(config.audit_log_path)
-        self.event_log = EventLog(config.event_log_path)
+        events = read_event_log(config.event_log_path)
+        self.event_log = EventLog(config.event_log_path, len(events))
         self.jobmanager = JobManager(
             self.callouts,
             JobManagerConfig(slots=config.slots, self_management=config.self_management),
             audit=self._audit,
             on_event=self._on_event,
         )
-        existing = read_event_log(config.event_log_path)
-        if existing:
-            replay_events(existing, self.jobmanager)
+        replay_events(events, self.jobmanager)
 
     # -- loading ---------------------------------------------------------
 
@@ -491,7 +458,7 @@ class Service:
         return (
             f"OK {view['job_id']} {view['state']} owner={_q(view['owner'])} "
             f"jobtag={view['jobtag'] or '-'} priority={view['priority']} "
-            f"started={_opt(view['started_at'])} ended={_opt(view['ended_at'])} "
+            f"started={_fmt(view['started_at'])} ended={_fmt(view['ended_at'])} "
             f"history={view['history_length']}"
         )
 
@@ -564,7 +531,10 @@ class Service:
                     raw = self.rfile.readline()
                     if not raw:
                         break
-                    response = service.handle_request(raw.decode("utf-8"))
+                    try:
+                        response = service.handle_request(raw.decode("utf-8"))
+                    except UnicodeDecodeError as e:
+                        response = f"E-SYNTAX request is not UTF-8: {e.reason}"
                     self.wfile.write((response + "\n").encode("utf-8"))
 
         class Server(socketserver.ThreadingTCPServer):
@@ -592,10 +562,6 @@ def _explain_summary(expl) -> str:
         if not check.satisfied and check.failing is not None:
             return f"grant {check.ref} failed at {check.failing.render()}"
     return "no applicable statements"
-
-
-def _opt(value) -> str:
-    return "-" if value is None else str(value)
 
 
 def _read(path: Path) -> str:

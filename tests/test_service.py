@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import pytest
@@ -7,6 +8,7 @@ from gridauthz.jobmanager import JobManager, JobManagerConfig
 from gridauthz.service import (
     ConfigError,
     CorruptLog,
+    Service,
     ServiceConfig,
     read_audit_log,
     read_event_log,
@@ -88,6 +90,18 @@ class TestProtocol:
         resp = svc.handle_request(
             f'SUBMIT dn="{STRANGER_DN}" rsl="&(executable=test1)"')
         assert resp.startswith("E-GATE")
+
+    @pytest.mark.parametrize("rsl", [
+        # admitted under the ADS grant, then managed as an NFC job
+        "&(executable=test1)(directory=/sandbox/test)(jobtag=NFC)(jobtag=ADS)",
+        "&(executable=evil)(executable=test1)(directory=/sandbox/test)(jobtag=ADS)",
+    ])
+    def test_repeated_single_valued_attribute_is_syntax_error(self, ref_svc, rsl):
+        resp = ref_svc.handle_request(f'SUBMIT dn="{BO_DN}" rsl="{rsl}"')
+        assert resp.startswith("E-SYNTAX")
+        # rejected before the gridmap gate: nothing admitted, nothing audited
+        assert ref_svc.handle_request("LIST") == "OK"
+        assert ref_svc.audit_log.sequence == 0
 
     def test_policy_deny(self, ref_svc):
         resp = ref_svc.handle_request(
@@ -247,7 +261,6 @@ class TestAuditLog:
         first.handle_request(BO_START)
         first.close()
         before = len(read_audit_log(tmp_path / "audit.log"))
-        from gridauthz.service import Service
         second = Service(ServiceConfig.from_file(config))
         second.handle_request(
             f'SUBMIT dn="{KATE_DN}" '
@@ -276,6 +289,20 @@ class TestLogIntegrity:
         with pytest.raises(CorruptLog):
             read_event_log(log)
 
+    def test_unreadable_audit_line_stops_start(self, tmp_path):
+        config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+        first = Service(ServiceConfig.from_file(config))
+        first.handle_request(BO_START)
+        first.handle_request(BO_START)
+        first.close()
+        audit = tmp_path / "audit.log"
+        lines = audit.read_text().splitlines(keepends=True)
+        lines[1] = 'seq=2 requester="unterminated\n'
+        audit.write_text("".join(lines))
+        with pytest.raises(CorruptLog) as e:
+            Service(ServiceConfig.from_file(config))
+        assert e.value.sequence == 2
+
     def test_empty_logs_are_fine(self, tmp_path):
         (tmp_path / "a.log").write_text("")
         assert read_audit_log(tmp_path / "a.log") == []
@@ -297,7 +324,69 @@ def drive_scenario(service):
     service.handle_request('TICK now="9"')
 
 
+BO = f'"{BO_DN}"'
+KATE = f'"{KATE_DN}"'
+SCENARIO_AUDIT = f"""\
+seq=1 time=0 requester={BO} action=start job=- decision=PERMIT reason="" ref="bliu" source=GATE
+seq=2 time=0 requester={BO} action=start job=- decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=LOCAL-PEP
+seq=3 time=0 requester={KATE} action=start job=- decision=PERMIT reason="" ref="kkeahey" source=GATE
+seq=4 time=0 requester={KATE} action=start job=- decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=LOCAL-PEP
+seq=5 time=1 requester={BO} action=signal job=job-1 decision=PERMIT reason="" ref="-" source=SELF-RULE
+seq=6 time=1 requester={BO} action=signal job=job-1 decision=PERMIT reason="" ref="-" source=SELF-RULE
+seq=7 time=2 requester={BO} action=signal job=job-1 decision=PERMIT reason="" ref="-" source=SELF-RULE
+seq=8 time=6 requester={KATE} action=cancel job=job-1 decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=LOCAL-PEP
+"""
+SCENARIO_EVENTS = f"""\
+seq=1 time=0 job=job-1 event=created actor={BO} owner={BO} account="bliu" jobtag="NFC" priority="0" duration="10" rsl="&(executable = test2)(directory = /sandbox/test)(jobtag = NFC)(count = 1)"
+seq=2 time=0 job=job-2 event=created actor={KATE} owner={KATE} account="kkeahey" jobtag="NFC" priority="0" duration="3" rsl="&(executable = TRANSP)(directory = /sandbox/test)(jobtag = NFC)(maxtime = 3)(count = 1)"
+seq=3 time=1 job=job-1 event=dispatched actor="scheduler"
+seq=4 time=1 job=job-2 event=dispatched actor="scheduler"
+seq=5 time=1 job=job-1 event=suspended actor={BO}
+seq=6 time=1 job=job-1 event=priority-changed actor={BO} value="2"
+seq=7 time=2 job=job-1 event=resumed actor={BO}
+seq=8 time=4 job=job-2 event=done actor="scheduler"
+seq=9 time=6 job=job-1 event=canceled actor={KATE}
+"""
+
+
+def _events(*kinds):
+    """Well-formed event records for job-1, one per kind, one time unit apart."""
+    payloads = {
+        "created": {"owner": BO_DN, "account": "bliu", "jobtag": "NFC", "priority": "0",
+                    "duration": "10", "rsl": "&(executable = test2)"},
+        "priority-changed": {"value": "3"},
+    }
+    return [{"seq": str(i), "time": i, "job": "job-1", "event": kind, "actor": "scheduler",
+             **payloads.get(kind, {})}
+            for i, kind in enumerate(kinds, 1)]
+
+
 class TestReplay:
+    def test_log_bytes_are_pinned(self, tmp_path):
+        service = make_service(tmp_path, PERMISSIVE, PERMISSIVE)
+        try:
+            drive_scenario(service)
+        finally:
+            service.close()
+        assert (tmp_path / "audit.log").read_bytes() == SCENARIO_AUDIT.encode()
+        assert (tmp_path / "events.log").read_bytes() == SCENARIO_EVENTS.encode()
+
+    @pytest.mark.parametrize("kinds", [
+        ("created", "done"),
+        ("created", "dispatched", "done", "resumed"),
+        ("created", "dispatched", "finished"),
+        ("created", "resumed"),
+        ("created", "dispatched", "suspended", "dispatched"),
+        ("created", "dispatched", "done", "priority-changed"),
+        ("created", "created"),
+        ("created", "dispatched", "failed"),
+    ], ids="-".join)
+    def test_replay_rejects_what_live_calls_cannot_write(self, kinds):
+        jm = JobManager(None, JobManagerConfig())
+        with pytest.raises(CorruptLog) as e:
+            replay_events(_events(*kinds), jm)
+        assert e.value.sequence == len(kinds)
+
     def test_replay_reconstructs_job_table(self, tmp_path):
         service = make_service(tmp_path, PERMISSIVE, PERMISSIVE)
         try:
@@ -316,7 +405,6 @@ class TestReplay:
 
     def test_startup_replay_resumes_identically(self, tmp_path):
         config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
-        from gridauthz.service import Service
         first = Service(ServiceConfig.from_file(config))
         drive_scenario(first)
         snapshot = first.jobmanager.snapshot()
@@ -332,7 +420,9 @@ class TestReplay:
             second.close()
 
 
-def test_tcp_round_trip(tmp_path):
+@pytest.fixture
+def served(tmp_path):
+    """A service listening on a loopback port; yields (host, port)."""
     service = make_service(tmp_path, PERMISSIVE, PERMISSIVE)
     thread = threading.Thread(target=service.serve_forever, daemon=True)
     thread.start()
@@ -341,12 +431,24 @@ def test_tcp_round_trip(tmp_path):
             break
         threading.Event().wait(0.01)
     try:
-        host, port = service._server.server_address[:2]
-        endpoint = f"{host}:{port}"
-        assert send_request(endpoint, BO_START) == "OK job-1 PENDING"
-        assert send_request(endpoint, 'TICK now="1"') == "OK time=1 job-1:ACTIVE"
-        assert send_request(endpoint, "NOPE").startswith("E-SYNTAX")
+        yield service._server.server_address[:2]
     finally:
         service.shutdown()
         thread.join(timeout=5)
         service.close()
+
+
+def test_tcp_round_trip(served):
+    endpoint = "{}:{}".format(*served)
+    assert send_request(endpoint, BO_START) == "OK job-1 PENDING"
+    assert send_request(endpoint, 'TICK now="1"') == "OK time=1 job-1:ACTIVE"
+    assert send_request(endpoint, "NOPE").startswith("E-SYNTAX")
+
+
+def test_tcp_non_utf8_line_keeps_connection(served):
+    with socket.create_connection(served, timeout=10) as sock:
+        stream = sock.makefile("rwb")
+        stream.write(b"LIST \xff\xfe\nLIST\n")
+        stream.flush()
+        assert stream.readline().startswith(b"E-SYNTAX ")
+        assert stream.readline() == b"OK\n"
