@@ -23,7 +23,6 @@ from .policy import (
     StatementKind,
     SubjectPattern,
     lint_policy,
-    match_subject,
     parse_policy,
     render_policy,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "evaluate_assertion",
     "evaluate_document",
     "lint_policy",
-    "match_subject",
     "parse_policy",
     "parse_rsl",
     "render_policy",

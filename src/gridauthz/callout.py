@@ -14,7 +14,7 @@ from enum import Enum
 from . import engine
 from .engine import AuthorizationRequest, Decision, JobContext, Outcome
 from .policy import GridIdentity
-from .rsl import apply_defaults, parse_rsl, to_job_description
+from .rsl import JobDescription, description_to_rsl
 
 GRAM_AUTHZ = "gram-authz"
 
@@ -45,7 +45,7 @@ class CalloutConfigError(CalloutError):
 class CalloutArgs:
     requester: GridIdentity
     action: str
-    rsl_text: str
+    description: JobDescription
     initiator: GridIdentity | None = None
     job_id: str | None = None
     job_context: JobContext | None = None
@@ -56,6 +56,11 @@ class CalloutArgs:
             raise ValueError("management callouts carry the job initiator")
         if not management and self.initiator is not None:
             raise ValueError("start callouts carry no initiator")
+
+    @property
+    def rsl_text(self) -> str:
+        """The job description as RSL text, for providers that want text."""
+        return description_to_rsl(self.description)
 
 
 class CalloutOutcome(Enum):
@@ -165,11 +170,10 @@ def make_rsl_pep_provider(get_policies):
 
     def rsl_pep(args: CalloutArgs) -> CalloutResult:
         local_doc, vo_doc = get_policies()
-        description = apply_defaults(to_job_description(parse_rsl(args.rsl_text)))
         req = AuthorizationRequest(
             requester=args.requester,
             action=args.action,
-            description=description,
+            description=args.description,
             job_context=args.job_context,
         )
         decision, explanations = engine.authorize(local_doc, vo_doc, req)

@@ -170,23 +170,18 @@ def evaluate_assertion(a: RslAssertion, req: AuthorizationRequest) -> bool:
     return True
 
 
-def _evaluate_rule(rule, req: AuthorizationRequest):
-    """First failing assertion of a rule, or None when the rule holds.
+def _evaluate_rule(st: PolicyStatement, req: AuthorizationRequest):
+    """First failing assertion of a statement's rule, or None when it holds.
 
     '=' assertions with a plain literal disjoin per attribute; everything
     else (including presence checks against NULL) conjoins.
     """
-    by_attr: dict[str, list[RslAssertion]] = {}
-    for a in rule.assertions:
-        by_attr.setdefault(a.attribute, []).append(a)
-    for asserts in by_attr.values():
-        eqs = [a for a in asserts if a.relation is Relation.EQ and a.value is not NULL]
-        others = [a for a in asserts if not (a.relation is Relation.EQ and a.value is not NULL)]
-        if eqs and not any(evaluate_assertion(a, req) for a in eqs):
-            return eqs[0]
-        for a in others:
-            if not evaluate_assertion(a, req):
-                return a
+    for check in st.checks:
+        if isinstance(check, tuple):  # '=' literals on one attribute
+            if not any(evaluate_assertion(a, req) for a in check):
+                return check[0]
+        elif not evaluate_assertion(check, req):
+            return check
     return None
 
 
@@ -196,9 +191,7 @@ def _statement_ref(doc: PolicyDocument, index: int, st: PolicyStatement) -> str:
 
 def evaluate_document(doc: PolicyDocument, req: AuthorizationRequest):
     """Evaluate one request against one document.  Default deny."""
-    matched = [
-        (i, st) for i, st in enumerate(doc.statements) if st.subject.matches(req.requester)
-    ]
+    matched = doc.statements_for(req.requester)
     if not matched:
         return deny("no applicable statements"), Explanation()
 
@@ -209,17 +202,16 @@ def evaluate_document(doc: PolicyDocument, req: AuthorizationRequest):
     for i, st in matched:
         ref = _statement_ref(doc, i, st)
         if st.kind is StatementKind.REQUIREMENT:
-            action_asserts = [a for a in st.rule.assertions if a.attribute == "action"]
-            applies = all(evaluate_assertion(a, req) for a in action_asserts)
+            applies = all(evaluate_assertion(a, req) for a in st.actions)
             if not applies:
                 requirement_checks.append(RequirementCheck(ref, False, True))
                 continue
-            failing = _evaluate_rule(st.rule, req)
+            failing = _evaluate_rule(st, req)
             requirement_checks.append(RequirementCheck(ref, True, failing is None, failing))
             if failing is not None and failed_requirement is None:
                 failed_requirement = ref
         else:
-            failing = _evaluate_rule(st.rule, req)
+            failing = _evaluate_rule(st, req)
             grant_checks.append(GrantCheck(ref, failing is None, failing))
             if failing is None and satisfying is None:
                 satisfying = ref

@@ -8,14 +8,14 @@ reaches the callout layer.
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .callout import CalloutArgs, CalloutOutcome, Callouts, CalloutResult, GRAM_AUTHZ
 from .engine import Decision, Outcome
 from . import callout as _callout
 from .policy import GridIdentity, IdentitySyntaxError
-from .rsl import (JobDescription, RepeatedAttribute, apply_defaults, description_to_rsl,
-                  parse_rsl, to_job_description)
+from .rsl import (JobDescription, RepeatedAttribute, apply_defaults, parse_rsl,
+                  to_job_description)
 
 # a job has one of each; a second value would be admitted under one reading
 # of the request and managed under another
@@ -58,12 +58,16 @@ class GridmapEntry:
 class Gridmap:
     entries: tuple[GridmapEntry, ...]
     warnings: tuple[str, ...] = ()
+    accounts: dict[GridIdentity, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        accounts: dict[GridIdentity, str] = {}
+        for entry in self.entries:
+            accounts.setdefault(entry.identity, entry.account)
+        object.__setattr__(self, "accounts", accounts)
 
     def lookup(self, identity: GridIdentity):
-        for entry in self.entries:
-            if entry.identity == identity:
-                return entry.account
-        return None
+        return self.accounts.get(identity)
 
 
 def parse_gridmap(text: str) -> Gridmap:
@@ -104,7 +108,7 @@ def authorize_and_map(gridmap: Gridmap, identity: GridIdentity) -> str:
     return account
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdmissionTicket:
     ticket_id: str
     requester: GridIdentity
@@ -112,6 +116,8 @@ class AdmissionTicket:
     description: JobDescription
     decision: Decision
     result: CalloutResult
+    # set by the job manager: a ticket admits one job
+    submitted: bool = False
 
 
 def admit(
@@ -139,11 +145,7 @@ def admit(
         raise
     if audit:
         audit("GATE", requester, "start", None, Decision(Outcome.PERMIT), account)
-    args = CalloutArgs(
-        requester=requester,
-        action="start",
-        rsl_text=description_to_rsl(description),
-    )
+    args = CalloutArgs(requester=requester, action="start", description=description)
     result = callouts.invoke(GRAM_AUTHZ, args)
     decision = _callout.decision_of(result)
     if audit:

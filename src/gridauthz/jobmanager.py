@@ -9,6 +9,7 @@ from the dispatch/resume timestamps so completion instants are exact.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -81,14 +82,15 @@ class ClockRegression(JobManagerError):
         super().__init__(f"tick time {now} earlier than current time {clock}")
 
 
-@dataclass
+# slots on both records: the table keeps every job, and every job every event
+@dataclass(slots=True)
 class HistoryEvent:
     time: int
     event: str
     actor: str
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     job_id: str
     owner: GridIdentity
@@ -143,9 +145,16 @@ class JobManager:
         self.audit = audit
         self.on_event = on_event
         self.clock = 0
+        # every job ever created, and the ones not yet finished; both in
+        # creation order, which is job id order.  The live set is an
+        # OrderedDict because its iteration follows a linked list of the
+        # jobs in it: a dict's walks every slot that a finished job left
+        # behind, until the dict happens to resize.
         self.jobs: dict[str, JobRecord] = {}
+        self._live: OrderedDict[str, JobRecord] = OrderedDict()
+        # one identity per owner DN, shared by all of that owner's jobs
+        self._owners: dict[str, GridIdentity] = {}
         self._next_id = 1
-        self._submitted_tickets: set[str] = set()
         self._lock = threading.RLock()
 
     # -- helpers ---------------------------------------------------------
@@ -183,9 +192,24 @@ class JobManager:
                     record.started_at = time
             elif new_state in TERMINAL_STATES:
                 record.ended_at = time
+                del self._live[record.job_id]
         else:
             raise ValueError(f"unknown job event {event!r}")
         self._emit(record, event, actor, time, **payload)
+
+    def _add(self, record: JobRecord):
+        """Enter a new job; ids must ascend, so creation order is id order."""
+        if record.seq < self._next_id:
+            raise ValueError(f"job {record.job_id} created out of order")
+        self.jobs[record.job_id] = record
+        self._live[record.job_id] = record
+        self._next_id = record.seq + 1
+
+    def _owner(self, dn: str, identity: GridIdentity | None = None) -> GridIdentity:
+        owner = self._owners.get(dn)
+        if owner is None:
+            owner = self._owners[dn] = identity or GridIdentity.parse(dn)
+        return owner
 
     def _get(self, job_id: str) -> JobRecord:
         record = self.jobs.get(job_id)
@@ -194,7 +218,7 @@ class JobManager:
         return record
 
     def _active_count(self) -> int:
-        return sum(1 for r in self.jobs.values() if r.state is JobState.ACTIVE)
+        return sum(1 for r in self._live.values() if r.state is JobState.ACTIVE)
 
     # -- submission ------------------------------------------------------
 
@@ -202,11 +226,10 @@ class JobManager:
         with self._lock:
             if not ticket.decision.is_permit:
                 raise PolicyDenied(ticket.decision.reason or "admission not permitted")
-            if ticket.ticket_id in self._submitted_tickets:
+            if ticket.submitted:
                 raise DuplicateTicket(ticket.ticket_id)
-            self._submitted_tickets.add(ticket.ticket_id)
+            ticket.submitted = True
             job_id = f"job-{self._next_id}"
-            self._next_id += 1
             jobtag_values = ticket.description.get("jobtag")
             jobtag = value_text(jobtag_values[0]) if jobtag_values else None
             duration = DEFAULT_DURATION
@@ -215,18 +238,19 @@ class JobManager:
                 n = int_value(maxtime_values[0])
                 if n is not None and n > 0:
                     duration = n
+            dn = ticket.requester.render()
             record = JobRecord(
                 job_id=job_id,
-                owner=ticket.requester,
+                owner=self._owner(dn, ticket.requester),
                 account=ticket.account,
                 jobtag=jobtag,
                 description=ticket.description,
                 duration=duration,
             )
-            self.jobs[job_id] = record
+            self._add(record)
             self._emit(
-                record, "created", ticket.requester.render(), self.clock,
-                owner=ticket.requester.render(),
+                record, "created", dn, self.clock,
+                owner=dn,
                 account=ticket.account,
                 jobtag=jobtag,
                 priority=record.priority,
@@ -249,7 +273,7 @@ class JobManager:
         args = CalloutArgs(
             requester=requester,
             action=action,
-            rsl_text=description_to_rsl(record.description),
+            description=record.description,
             initiator=record.owner,
             job_id=record.job_id,
             job_context=JobContext(
@@ -317,7 +341,8 @@ class JobManager:
                   state: JobState | None = None) -> list[dict]:
         with self._lock:
             views = []
-            for record in sorted(self.jobs.values(), key=lambda r: r.seq):
+            live = state is not None and state not in TERMINAL_STATES
+            for record in (self._live if live else self.jobs).values():
                 if jobtag is not None and record.jobtag != jobtag:
                     continue
                 if owner is not None and record.owner != owner:
@@ -334,8 +359,8 @@ class JobManager:
             if now < self.clock:
                 raise ClockRegression(now, self.clock)
             changes = []
-            for record in sorted(self.jobs.values(), key=lambda r: r.seq):
-                if record.state is not JobState.ACTIVE or record.active_since is None:
+            for record in [r for r in self._live.values() if r.state is JobState.ACTIVE]:
+                if record.active_since is None:
                     continue
                 total = record.active_time + (now - record.active_since)
                 if total >= record.duration:
@@ -343,7 +368,7 @@ class JobManager:
                     self._apply(record, "done", "scheduler", finish)
                     changes.append((record.job_id, JobState.DONE.value))
             pending = sorted(
-                (r for r in self.jobs.values() if r.state is JobState.PENDING),
+                (r for r in self._live.values() if r.state is JobState.PENDING),
                 key=lambda r: (-r.priority, r.seq),
             )
             free = self.config.slots - self._active_count()
@@ -357,7 +382,7 @@ class JobManager:
         """Deterministic text dump of the whole job table."""
         with self._lock:
             lines = []
-            for r in sorted(self.jobs.values(), key=lambda r: r.seq):
+            for r in self.jobs.values():
                 lines.append(
                     f"{r.job_id} state={r.state.value} owner=\"{r.owner.render()}\" "
                     f"account={r.account} jobtag={r.jobtag or '-'} priority={r.priority} "

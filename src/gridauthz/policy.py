@@ -18,12 +18,14 @@ conjunction marker and carries no meaning of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .rsl import (
-    Integer,
+    NULL,
     Relation,
+    RslAssertion,
     RslConjunction,
     RslError,
     SELF,
@@ -62,9 +64,18 @@ class GridIdentity:
     """
 
     components: tuple[tuple[str, str], ...]
+    _key: str = field(init=False, repr=False)
 
-    def key(self):
-        return tuple((k.lower(), v) for k, v in self.components)
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_key", "".join(f"{k.lower()}={v}/" for k, v in self.components))
+
+    def key(self) -> str:
+        """Comparison form: ``key=value/`` per component, the key folded to
+        lower case.  No part of a parsed DN holds a '/' and no key holds an
+        '=', so one identity is a component-wise prefix of another exactly
+        when its key is a string prefix of the other's."""
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, GridIdentity) and self.key() == other.key()
@@ -102,17 +113,10 @@ class SubjectPattern:
     prefix: GridIdentity
 
     def matches(self, identity: GridIdentity) -> bool:
-        pk = self.prefix.key()
-        ik = identity.key()
-        return len(pk) <= len(ik) and ik[: len(pk)] == pk
+        return identity.key().startswith(self.prefix.key())
 
     def render(self) -> str:
         return self.prefix.render()
-
-
-def match_subject(pattern: SubjectPattern, identity: GridIdentity) -> bool:
-    """Whole-component prefix match of a subject pattern against a DN."""
-    return pattern.matches(identity)
 
 
 class StatementKind(Enum):
@@ -126,10 +130,34 @@ class PolicyStatement:
     kind: StatementKind
     rule: RslConjunction
     source_line: int
+    # the 'action' assertions, which decide whether a REQUIREMENT applies
+    actions: tuple[RslAssertion, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rule.assertions:
             raise PolicyError("policy rule must be a nonempty conjunction")
+        object.__setattr__(self, "actions", tuple(
+            a for a in self.rule.assertions if a.attribute == "action"))
+
+    @cached_property
+    def checks(self) -> tuple[RslAssertion | tuple[RslAssertion, ...], ...]:
+        """The rule as checks in evaluation order.  Per attribute, in order of
+        first appearance: its '=' literals, which disjoin (two or more come
+        as one tuple), then each of its other assertions, which conjoin.
+
+        Built on first use, not at parse time: a decision reads only its
+        requester's statements, and a large document parses as fast as before.
+        """
+        by_attr: dict[str, list[RslAssertion]] = {}
+        for a in self.rule.assertions:
+            by_attr.setdefault(a.attribute, []).append(a)
+        checks: list[RslAssertion | tuple[RslAssertion, ...]] = []
+        for asserts in by_attr.values():
+            eqs = tuple(a for a in asserts if a.relation is Relation.EQ and a.value is not NULL)
+            if eqs:
+                checks.append(eqs[0] if len(eqs) == 1 else eqs)
+            checks.extend(a for a in asserts if a not in eqs)
+        return tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -137,6 +165,28 @@ class PolicyDocument:
     statements: tuple[PolicyStatement, ...]
     source: str  # "VO" or "LOCAL"
     label: str = ""
+    # statement indices by subject key, each list ascending
+    by_subject: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict[str, list[int]] = {}
+        for i, st in enumerate(self.statements):
+            index.setdefault(st.subject.prefix.key(), []).append(i)
+        object.__setattr__(self, "by_subject", index)
+
+    def statements_for(self, identity: GridIdentity) -> list[tuple[int, PolicyStatement]]:
+        """(index, statement) of every statement whose subject matches, in
+        document order.  Only the buckets of the identity's own prefixes are
+        looked at, so the cost does not grow with the number of subjects."""
+        key = identity.key()
+        indices = []
+        end = key.find("/")
+        while end >= 0:  # the key of each prefix ends at a '/'
+            indices += self.by_subject.get(key[: end + 1], ())
+            end = key.find("/", end + 1)
+        indices.sort()
+        statements = self.statements
+        return [(i, statements[i]) for i in indices if statements[i].subject.matches(identity)]
 
 
 def empty_document(source: str = "LOCAL", label: str = "empty") -> PolicyDocument:
@@ -178,9 +228,10 @@ def parse_policy(text: str, source: str, label: str = "") -> PolicyDocument:
             rule = parse_rsl(line)
         except RslError as e:
             raise PolicySyntaxError(lineno, f"bad rule: {e}") from e
-        if sum(1 for a in rule.assertions if a.attribute == "action") > 1:
+        statement = PolicyStatement(subject, kind, rule, lineno)
+        if len(statement.actions) > 1:
             raise PolicySyntaxError(lineno, "more than one 'action' assertion in one rule")
-        statements.append(PolicyStatement(subject, kind, rule, lineno))
+        statements.append(statement)
         rules_in_block += 1
     if subject is not None and rules_in_block == 0:
         raise EmptyBlock(subject_line)

@@ -147,6 +147,13 @@ _REL_SYMBOLS = ("!=", "<=", ">=", "=", "<", ">")
 _REL_BY_SYMBOL = {r.value: r for r in Relation}
 # stops a bare value token
 _BARE_STOP = set(_WS) | {"(", ")", '"'}
+# one clause with a bare value, and the white space after it, read as the
+# step-by-step reader below reads it (which is why '<' and '>' may not give
+# back the '=' of '<=' and '>='); what it does not match goes through that
+# reader, which reports the error
+_CLAUSE_RE = re.compile(
+    r'\([ \t\r\n]*([A-Za-z][A-Za-z0-9_]*)[ \t\r\n]*(!=|<=|>=|=|<(?!=)|>(?!=))[ \t\r\n]*'
+    r'([^ \t\r\n()"]+)[ \t\r\n]*\)[ \t\r\n]*')
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -185,13 +192,17 @@ def _read_value(text: str, pos: int):
     token = text[pos:i]
     if not token:
         raise RslSyntaxError(pos, "value", text[pos : pos + 1])
+    return _bare_value(token), i
+
+
+def _bare_value(token: str) -> RslValue:
     if _INT_RE.match(token):
-        return Integer(int(token)), i
+        return Integer(int(token))
     if token == "NULL":
-        return NULL, i
+        return NULL
     if token == "SELF":
-        return SELF, i
-    return Text(token), i
+        return SELF
+    return Text(token)
 
 
 def parse_rsl(text: str) -> RslConjunction:
@@ -207,6 +218,13 @@ def parse_rsl(text: str) -> RslConjunction:
         pos = _skip_ws(text, pos + 1)
     assertions = []
     while True:
+        clause = _CLAUSE_RE.match(text, pos)
+        if clause:  # the common, well-formed case in one step
+            name, symbol, token = clause.groups()
+            assertions.append(
+                RslAssertion(name.lower(), _REL_BY_SYMBOL[symbol], _bare_value(token)))
+            pos = clause.end()
+            continue
         if pos >= len(text):
             if assertions:
                 break

@@ -288,19 +288,16 @@ def replay_events(events: list[dict], jm: JobManager) -> JobManager:
             try:
                 job_id, kind, time, actor = ev["job"], ev["event"], ev["time"], ev["actor"]
                 if kind == "created":
-                    if job_id in jm.jobs:
-                        raise ValueError(f"job {job_id} created twice")
                     record = JobRecord(
                         job_id=job_id,
-                        owner=GridIdentity.parse(ev["owner"]),
+                        owner=jm._owner(ev["owner"]),
                         account=ev["account"],
                         jobtag=None if ev.get("jobtag", "-") == "-" else ev["jobtag"],
                         description=apply_defaults(to_job_description(parse_rsl(ev["rsl"]))),
                         priority=int(ev["priority"]),
                         duration=int(ev["duration"]),
                     )
-                    jm.jobs[job_id] = record
-                    jm._next_id = max(jm._next_id, record.seq + 1)
+                    jm._add(record)
                     jm._emit(record, kind, actor, time)
                 else:
                     payload = {k: v for k, v in ev.items() if k not in _EVENT_HEADER}
@@ -526,6 +523,10 @@ class Service:
         service = self
 
         class Handler(socketserver.StreamRequestHandler):
+            # TCP_NODELAY: a reply is one short write, which Nagle's algorithm
+            # would hold back until the client acknowledges the previous one
+            disable_nagle_algorithm = True
+
             def handle(self):
                 while True:
                     raw = self.rfile.readline()

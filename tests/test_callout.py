@@ -19,10 +19,15 @@ from gridauthz.callout import (
     system_failure,
 )
 from gridauthz.engine import Outcome, deny, error, permit
+from gridauthz.rsl import apply_defaults, parse_rsl, to_job_description
+
+
+def description(rsl):
+    return apply_defaults(to_job_description(parse_rsl(rsl)))
 
 
 def start_args(identity, rsl="&(executable=test1)(jobtag=ADS)(count=1)"):
-    return CalloutArgs(requester=identity, action="start", rsl_text=rsl)
+    return CalloutArgs(requester=identity, action="start", description=description(rsl))
 
 
 class TestParseCalloutConfig:
@@ -105,7 +110,7 @@ class TestInvoke:
             make_builtin_registry(lambda: (ref_local, ref_vo)))
         args = CalloutArgs(
             requester=kate, action="cancel",
-            rsl_text="&(executable=test2)(jobtag=NFC)(count=1)",
+            description=description("&(executable=test2)(jobtag=NFC)(count=1)"),
             initiator=bo, job_id="job-7",
             job_context=JobContext("job-7", bo, "NFC"))
         result = callouts.invoke(GRAM_AUTHZ, args)
@@ -130,13 +135,18 @@ class TestResultMapping:
 
 
 class TestCalloutArgs:
+    def test_rsl_text_renders_the_description(self, bo):
+        args = start_args(bo, "&(executable=test1)(jobtag=ADS)")
+        assert args.rsl_text == "&(executable = test1)(jobtag = ADS)(count = 1)"
+
     def test_initiator_required_for_management(self, bo):
         with pytest.raises(ValueError):
-            CalloutArgs(requester=bo, action="cancel", rsl_text="&(a=1)")
+            CalloutArgs(requester=bo, action="cancel", description=description("&(a=1)"))
 
     def test_no_initiator_for_start(self, bo, kate):
         with pytest.raises(ValueError):
-            CalloutArgs(requester=bo, action="start", rsl_text="&(a=1)", initiator=kate)
+            CalloutArgs(requester=bo, action="start", description=description("&(a=1)"),
+                        initiator=kate)
 
 
 def test_swapping_binding_flips_decisions_without_code_changes(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -16,16 +17,20 @@ from gridauthz.engine import (
     permit,
 )
 from gridauthz.policy import (
+    GridIdentity,
     PolicyDocument,
     PolicyStatement,
     StatementKind,
+    SubjectPattern,
     empty_document,
     parse_policy,
 )
 from gridauthz.rsl import parse_rsl
 
+import linear_evaluator
 from conftest import (
     BO_DN,
+    STRANGER_DN,
     management_request,
     random_document,
     random_request,
@@ -191,6 +196,51 @@ def test_grant_monotonicity(seed):
     after, _ = evaluate_document(tightened, req)
     if not base.is_permit:
         assert not after.is_permit
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_indexed_evaluator_matches_linear_oracle(seed):
+    rng = random.Random(seed)
+    doc = random_document(rng)
+    req = random_request(rng)
+    assert evaluate_document(doc, req) == linear_evaluator.evaluate_document(doc, req)
+
+
+def _tree_dn(rng):
+    """A DN at a random depth of a small tree, key case varied."""
+    parts = ["/O=Grid", f"/O=VO-{rng.randrange(3)}", f"/OU=site-{rng.randrange(5)}",
+             f"/CN=user-{rng.randrange(10)}"][: rng.randint(1, 4)]
+    if rng.random() < 0.2:
+        parts[0] = "/o=Grid"
+    return "".join(parts)
+
+
+def _large_document(rng, subjects=1000):
+    """Blocks over DNs that share prefixes, subjects repeated, REQUIREMENT and
+    GRANT blocks interleaved: a requester's statements sit in several index
+    buckets that must be merged back into document order."""
+    statements = []
+    line = 1
+    for _ in range(subjects):
+        subject = SubjectPattern(GridIdentity.parse(_tree_dn(rng)))
+        kind = rng.choice((StatementKind.REQUIREMENT, StatementKind.GRANT))
+        for _ in range(rng.randint(1, 2)):
+            line += 1
+            statements.append(PolicyStatement(subject, kind, random_rule(rng), line))
+        line += 1
+    return PolicyDocument(tuple(statements), rng.choice(("LOCAL", "VO")), "large")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_indexed_evaluator_matches_linear_oracle_on_large_documents(seed):
+    rng = random.Random(seed)
+    doc = _large_document(rng)
+    assert len(doc.statements) >= 1000
+    for _ in range(60):
+        dn = STRANGER_DN if rng.random() < 0.05 else _tree_dn(rng)
+        req = dataclasses.replace(random_request(rng), requester=GridIdentity.parse(dn))
+        assert evaluate_document(doc, req) == linear_evaluator.evaluate_document(doc, req)
 
 
 class TestCombineDecisions:

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from gridauthz.callout import CalloutConfig, Callouts, GRAM_AUTHZ, make_builtin_registry
-from gridauthz.gatekeeper import PolicyDenied, admit, parse_gridmap
+from gridauthz.callout import (CalloutConfig, Callouts, GRAM_AUTHZ, make_builtin_registry,
+                               success)
+from gridauthz.engine import permit
+from gridauthz.gatekeeper import AdmissionTicket, PolicyDenied, admit, parse_gridmap
 from gridauthz.jobmanager import (
     ClockRegression,
     DuplicateTicket,
@@ -16,6 +18,8 @@ from gridauthz.jobmanager import (
     UnknownJob,
 )
 from gridauthz.policy import parse_policy
+from gridauthz.rsl import apply_defaults, parse_rsl, to_job_description
+from gridauthz.service import replay_events
 
 from conftest import FIXTURES
 
@@ -331,3 +335,75 @@ def test_state_machine_safety_random_commands(ref_local, ref_vo, bo):
             state = nxt
         if state in TERMINAL_STATES:
             assert record.state is state
+
+
+# -- the live-job set ------------------------------------------------------
+
+
+def ticket(owner, rsl):
+    """A permitted admission, without the gate and the callout."""
+    description = apply_defaults(to_job_description(parse_rsl(rsl)))
+    return AdmissionTicket("ticket", owner, "bliu", description, permit(), success())
+
+
+def assert_live_set(jm):
+    by_seq = sorted(jm.jobs.values(), key=lambda r: r.seq)
+    assert list(jm._live) == [r.job_id for r in by_seq if r.state not in TERMINAL_STATES]
+    for state in JobState:
+        assert jm.list_jobs(state=state) == [
+            r.status_view() for r in by_seq if r.state is state]
+
+
+def logged(events):
+    """on_event hook keeping each event as the event log would read it back."""
+    def on_event(record, event, actor, time, payload):
+        events.append({"seq": str(len(events) + 1), "time": time, "job": record.job_id,
+                       "event": event, "actor": actor,
+                       **{k: "-" if v is None else str(v) for k, v in payload.items()}})
+    return on_event
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_live_set_after_random_commands_and_replay(seed, bo):
+    rng = random.Random(seed)
+    events = []
+    jm = JobManager(None, JobManagerConfig(slots=2), on_event=logged(events))
+    now = 0
+    for _ in range(400):
+        op = rng.random()
+        try:
+            if op < 0.3:
+                jm.submit(ticket(bo, f"&(executable=x)(maxtime={rng.randint(1, 4)})"))
+            elif op < 0.4 and jm.jobs:
+                jm.cancel(rng.choice(list(jm.jobs)), bo)
+            elif op < 0.7 and jm.jobs:
+                kind = rng.choice(("suspend", "resume", "priority"))
+                value = rng.randint(-3, 5) if kind == "priority" else None
+                jm.signal(rng.choice(list(jm.jobs)), bo, kind, value)
+            else:
+                now += rng.randint(0, 3)
+                jm.tick(now)
+        except InvalidTransition:
+            pass
+        assert_live_set(jm)
+    assert jm._live and len(jm._live) < len(jm.jobs)
+    replayed = replay_events(events, JobManager(None, JobManagerConfig(slots=2)))
+    assert replayed.snapshot() == jm.snapshot()
+    assert_live_set(replayed)
+
+
+def test_tick_ignores_finished_jobs(bo):
+    def run(finished):
+        jm = JobManager(None, JobManagerConfig(slots=2))
+        for _ in range(finished):
+            jm.cancel(jm.submit(ticket(bo, "&(executable=x)")).job_id, bo)
+        live = [jm.submit(ticket(bo, f"&(executable=x)(maxtime={n})")) for n in (3, 1, 2, 5)]
+        jm.signal(live[2].job_id, bo, "priority", 4)
+        changes = [jm.tick(1)]
+        jm.signal(live[2].job_id, bo, "suspend")
+        changes += [jm.tick(t) for t in (2, 3, 5, 9, 20)]
+        # job ids renumbered as if the finished jobs had never been there
+        return [[(int(job_id.split("-")[1]) - finished, state) for job_id, state in tick]
+                for tick in changes]
+
+    assert run(10_000) == run(0)

@@ -10,7 +10,6 @@ from gridauthz.policy import (
     StatementKind,
     SubjectPattern,
     lint_policy,
-    match_subject,
     parse_policy,
     render_policy,
 )
@@ -68,22 +67,39 @@ def test_identity_keys_fold_values_do_not():
 
 def test_match_subject_prefix():
     pattern = SubjectPattern(GridIdentity.parse("/O=Grid/O=Globus/OU=mcs.anl.gov"))
-    assert match_subject(pattern, GridIdentity.parse(BO_DN))
-    assert match_subject(pattern, pattern.prefix)  # reflexive
+    assert pattern.matches(GridIdentity.parse(BO_DN))
+    assert pattern.matches(pattern.prefix)  # reflexive
 
 
 def test_match_subject_is_component_wise_not_textual():
     pattern = SubjectPattern(GridIdentity.parse("/O=Grid/O=Globus/OU=mcs.anl"))
-    assert not match_subject(pattern, GridIdentity.parse(BO_DN))
+    assert not pattern.matches(GridIdentity.parse(BO_DN))
 
 
 def test_match_subject_transitive():
     a = GridIdentity.parse("/O=Grid")
     b = GridIdentity.parse("/O=Grid/O=Globus")
     c = GridIdentity.parse("/O=Grid/O=Globus/OU=mcs.anl.gov")
-    assert match_subject(SubjectPattern(a), b)
-    assert match_subject(SubjectPattern(b), c)
-    assert match_subject(SubjectPattern(a), c)
+    assert SubjectPattern(a).matches(b)
+    assert SubjectPattern(b).matches(c)
+    assert SubjectPattern(a).matches(c)
+
+
+_COMPONENTS = st.lists(st.tuples(st.sampled_from(("O", "o", "OU", "CN")),
+                                  st.sampled_from(("Grid", "grid", "", "a=b", "=", "Bo Liu"))),
+                        max_size=3)
+
+
+@given(_COMPONENTS, _COMPONENTS, _COMPONENTS)
+def test_matches_is_component_wise_prefix_on_folded_keys(common, a_tail, b_tail):
+    if not common + a_tail or not common + b_tail:
+        return
+    a = GridIdentity.parse("".join(f"/{k}={v}" for k, v in common + a_tail))
+    b = GridIdentity.parse("".join(f"/{k}={v}" for k, v in common + b_tail))
+    folded_a = [(k.lower(), v) for k, v in a.components]
+    folded_b = [(k.lower(), v) for k, v in b.components]
+    assert SubjectPattern(a).matches(b) is (folded_b[: len(folded_a)] == folded_a)
+    assert (a == b) is (folded_a == folded_b)
 
 
 @given(st.integers(min_value=0, max_value=2_000))

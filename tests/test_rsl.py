@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gridauthz import rsl
 from gridauthz.rsl import (
     Integer,
     JobDescription,
@@ -51,6 +53,47 @@ def test_empty_input_is_positioned_syntax_error():
 def test_truncated_group():
     with pytest.raises(RslSyntaxError):
         parse_rsl("&(executable =")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (RslSyntaxError, OrderingOnSpecial) as e:
+        return type(e), str(e)
+
+
+def _step_by_step(text, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(rsl, "_CLAUSE_RE", re.compile(r"(?!)"))  # never matches
+        return _outcome(parse_rsl, text)
+
+
+def _one_of(*choices):
+    return st.sampled_from(choices)
+
+
+# clause-shaped text, well-formed or broken at any of its parts
+_CLAUSE_TEXT = st.tuples(
+    _one_of("(", "( ", ""), _one_of("count", "a", "B_1", "", "1x"), _one_of("", " ", "\t"),
+    _one_of("=", "!=", "<", ">", "<=", ">=", "!", "=="), _one_of("", " "),
+    _one_of("", "4", "-2", "x", "NULL", "SELF", '"q r"', '"', "=", "x y", "/p("),
+    _one_of("", " "), _one_of(")", "", ") ", "))")).map("".join)
+
+
+@settings(max_examples=400)
+@given(st.tuples(_one_of("", "&", " & "), st.lists(_CLAUSE_TEXT, max_size=4).map("".join))
+       .map("".join))
+def test_one_step_clause_reader_agrees_with_step_by_step_reader(text):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _outcome(parse_rsl, text) == _step_by_step(text, monkeypatch)
+
+
+@pytest.mark.parametrize("text", [
+    "(count <=)", "(count<=)", "(count >=)", "(a <==b)", "(a = b)(c<d)(e != NULL)",
+    '(a = b"c")', "(a == b)", "&(x<=4)  (y>=-2)\t", "(ab1_C = x y)", "(a = SELF)",
+])
+def test_one_step_clause_reader_examples(text, monkeypatch):
+    assert _outcome(parse_rsl, text) == _step_by_step(text, monkeypatch)
 
 
 def test_ordering_on_special_rejected():

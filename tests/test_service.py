@@ -1,10 +1,13 @@
 import socket
 import threading
+from collections import Counter
 
 import pytest
 
+from gridauthz import callout, gatekeeper, jobmanager, service as service_module
 from gridauthz.callout import Callouts
 from gridauthz.jobmanager import JobManager, JobManagerConfig
+from gridauthz.policy import GridIdentity
 from gridauthz.service import (
     ConfigError,
     CorruptLog,
@@ -180,6 +183,26 @@ class TestProtocol:
         assert resp.startswith("OK PERMIT")
 
 
+def test_rsl_parsed_once_and_not_rendered_on_the_authorization_path(ref_svc, monkeypatch):
+    calls = Counter()
+    for module in (callout, gatekeeper, jobmanager, service_module):
+        for name in ("parse_rsl", "description_to_rsl"):
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    assert ref_svc.handle_request(BO_START) == "OK job-1 PENDING"
+    assert calls == {"parse_rsl": 1, "description_to_rsl": 1}  # the render is the event's
+    calls.clear()
+    assert ref_svc.handle_request(f'CANCEL dn="{KATE_DN}" job="job-1"') == "OK job-1 CANCELED"
+    assert calls == {}
+    resp = ref_svc.handle_request(
+        f'POLICY-EVAL dn="{KATE_DN}" action="start" rsl="&(executable=TRANSP)"')
+    assert resp.startswith("OK ")
+    assert calls == {"parse_rsl": 1}
+
+
 class TestReload:
     def test_policy_swap_changes_decisions(self, tmp_path):
         service = make_service(tmp_path, REFERENCE, REFERENCE)
@@ -205,6 +228,28 @@ class TestReload:
             (tmp_path / "gridmap").write_text(gm + f'"{STRANGER_DN}" guest\n')
             service.handle_request("RELOAD")
             assert service.handle_request(submit) == "OK job-1 PENDING"
+        finally:
+            service.close()
+
+    def test_reload_swaps_the_subject_index(self, tmp_path):
+        only_bo = f"{BO_DN}:\n&(action != NULL)\n"
+        only_kate = f"{KATE_DN}:\n&(action != NULL)\n"
+        service = make_service(tmp_path, PERMISSIVE, only_bo)
+        try:
+            def evaluate(dn):
+                return service.handle_request(
+                    f'POLICY-EVAL dn="{dn}" action="start" rsl="&(executable=x)"')
+
+            assert evaluate(BO_DN).startswith("OK PERMIT")
+            old_vo = service.policies[1]
+            (tmp_path / "vo.policy").write_text(only_kate)
+            assert service.handle_request("RELOAD") == "OK reloaded"
+            new_vo = service.policies[1]
+            assert new_vo.by_subject is not old_vo.by_subject
+            assert list(new_vo.by_subject) == [GridIdentity.parse(KATE_DN).key()]
+            assert evaluate(BO_DN).startswith(
+                'OK DENY reason="VO: no applicable statements"')
+            assert evaluate(KATE_DN).startswith("OK PERMIT")
         finally:
             service.close()
 
