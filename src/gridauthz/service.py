@@ -18,7 +18,8 @@ one of SYNTAX, GATE, DENY, ERROR, UNKNOWN-JOB, TRANSITION.
 
 from __future__ import annotations
 
-import shlex
+import os
+import re
 import socketserver
 import threading
 from dataclasses import dataclass, field
@@ -146,13 +147,34 @@ def _q(text: str) -> str:
     return f'"{escaped}"'
 
 
+# One field of a request line or log record: key=bare or key="quoted",
+# then a blank (" \t\r\n" only, as a POSIX shell splits) or the end.
+# From the first character that does not fit, the rest of the line falls
+# to the last group, so findall covers the whole line and skips nothing.
+_FIELD = re.compile(r"""
+    [ \t\r\n]*
+    (?: ([^ \t\r\n="'\\]+) =
+        (?: "([^"\\]*(?:\\.[^"\\]*)*)" | ([^ \t\r\n"'\\]*) )
+        (?=[ \t\r\n]|\Z)
+      | ([^ \t\r\n].*) )
+""", re.S | re.X)
+_ESCAPE = re.compile(r'\\([\\"])')
+_TOKEN = re.compile(r"[^ \t\r\n]*")
+
+
 def _parse_kv_line(line: str) -> dict[str, str]:
+    r"""Read the fields that ``_q`` and the log renderers write.
+
+    Inside quotes only ``\\`` and ``\"`` are unescaped; any other backslash
+    stays as it is.  Single quotes, a backslash outside quotes, a quoted
+    value glued to more text, a field with no ``=`` and an unterminated
+    quote raise ValueError.
+    """
     fields = {}
-    for token in shlex.split(line):
-        if "=" not in token:
-            raise ValueError(f"malformed field {token!r}")
-        key, _, value = token.partition("=")
-        fields[key] = value
+    for key, quoted, bare, rest in _FIELD.findall(line):
+        if rest:
+            raise ValueError(f"malformed field {_TOKEN.match(rest)[0]!r}")
+        fields[key] = _ESCAPE.sub(r"\1", quoted) if "\\" in quoted else quoted or bare
     return fields
 
 
@@ -193,8 +215,29 @@ class _SequencedLog:
         self._fh.close()
 
 
+def _cut_torn_tail(path: Path):
+    """Cut what follows the last newline of a log that is about to be appended to.
+
+    A record is written together with its newline before the request is
+    answered, so bytes after the last newline are a record that was torn
+    by a crash, of a request that never got its reply.
+    """
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            fh.seek(0)
+            fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 class AuditLog(_SequencedLog):
     def __init__(self, path: Path):
+        _cut_torn_tail(path)
         super().__init__(path, len(read_audit_log(path)))
 
     def record(self, timestamp, requester, action, job_id, decision: Decision,
@@ -242,18 +285,21 @@ def _read_log(path) -> list[dict]:
     if not path.exists():
         return []
     records = []
-    for raw in path.read_text().splitlines():
-        if not raw.strip():
-            continue
-        expected = len(records) + 1
-        try:
-            fields = _parse_kv_line(raw)
-            seq = int(fields["seq"])
-        except (ValueError, KeyError) as e:
-            raise CorruptLog(expected, f"unreadable record: {e}") from e
-        if seq != expected:
-            raise CorruptLog(expected, f"sequence jumped to {seq}")
-        records.append(fields)
+    # records end at "\n" only: a quoted value may hold "\r", "\x85" or
+    # "\u2028", which universal newlines and str.splitlines() split on
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for raw in fh:
+            if not raw.strip():
+                continue
+            expected = len(records) + 1
+            try:
+                fields = _parse_kv_line(raw)
+                seq = int(fields["seq"])
+            except (ValueError, KeyError) as e:
+                raise CorruptLog(expected, f"unreadable record: {e}") from e
+            if seq != expected:
+                raise CorruptLog(expected, f"sequence jumped to {seq}")
+            records.append(fields)
     return records
 
 
@@ -324,6 +370,7 @@ class Service:
             registry = make_builtin_registry(lambda: self._policies)
         self.callouts = Callouts(self.callout_config, registry)
         self.audit_log = AuditLog(config.audit_log_path)
+        _cut_torn_tail(config.event_log_path)
         events = read_event_log(config.event_log_path)
         self.event_log = EventLog(config.event_log_path, len(events))
         self.jobmanager = JobManager(

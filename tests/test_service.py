@@ -1,8 +1,15 @@
+import importlib.util
+import random
+import re
+import shlex
 import socket
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridauthz import callout, gatekeeper, jobmanager, service as service_module
 from gridauthz.callout import Callouts
@@ -13,6 +20,8 @@ from gridauthz.service import (
     CorruptLog,
     Service,
     ServiceConfig,
+    _parse_kv_line,
+    _q,
     read_audit_log,
     read_event_log,
     replay_events,
@@ -29,6 +38,15 @@ BO_START = (
     f'SUBMIT dn="{BO_DN}" '
     'rsl="&(executable=test2)(directory=/sandbox/test)(jobtag=NFC)(count=1)"'
 )
+
+# request lines whose fields are outside the key=bare / key="quoted" grammar
+OUT_OF_GRAMMAR = [
+    f"SUBMIT dn='{BO_DN}' rsl=\"&(executable=test1)\"",  # single quotes
+    f'SUBMIT dn=\\"{BO_DN}\\" rsl="&(executable=test1)"',  # unquoted backslash
+    f'SUBMIT dn="{BO_DN}"x rsl="&(executable=test1)"',  # quoted part glued to more text
+    f'SUBMIT dn="{BO_DN}" rsl="&(executable=test1)',  # unterminated quote
+    "SUBMIT nonsense",  # no '='
+]
 
 
 @pytest.fixture
@@ -83,7 +101,11 @@ class TestProtocol:
         assert svc.handle_request("").startswith("E-SYNTAX")
 
     def test_malformed_fields(self, svc):
-        assert svc.handle_request("SUBMIT nonsense").startswith("E-SYNTAX")
+        for line in OUT_OF_GRAMMAR:
+            resp = svc.handle_request(line)
+            assert resp.startswith("E-SYNTAX ") and "\n" not in resp, line
+            assert svc.audit_log.sequence == 0, line
+        assert svc.config.audit_log_path.read_bytes() == b""
 
     def test_bad_rsl_is_syntax_error(self, svc):
         resp = svc.handle_request(f'SUBMIT dn="{BO_DN}" rsl="&(broken"')
@@ -497,3 +519,152 @@ def test_tcp_non_utf8_line_keeps_connection(served):
         stream.flush()
         assert stream.readline().startswith(b"E-SYNTAX ")
         assert stream.readline() == b"OK\n"
+
+
+def test_tcp_out_of_grammar_line_keeps_connection(served):
+    with socket.create_connection(served, timeout=10) as sock:
+        stream = sock.makefile("rwb")
+        stream.write(OUT_OF_GRAMMAR[0].encode() + b"\nLIST\n")
+        stream.flush()
+        assert stream.readline().startswith(b"E-SYNTAX ")
+        assert stream.readline() == b"OK\n"
+
+
+# -- the key=value reader against shlex -----------------------------------
+
+
+def shlex_kv_line(line):
+    """The same fields read with shlex: the oracle for _parse_kv_line."""
+    fields = {}
+    for token in shlex.split(line):
+        if "=" not in token:
+            raise ValueError(f"malformed field {token!r}")
+        key, _, value = token.partition("=")
+        fields[key] = value
+    return fields
+
+
+BARE = re.compile(r"[^ \t\r\n\"'\\]+")
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.from_regex(r"[A-Za-z_-]+", fullmatch=True),
+                       st.tuples(st.text(st.characters(blacklist_characters="\n")),
+                                 st.booleans())))
+def test_rendered_fields_read_back(fields):
+    # quoted as _q writes them, or bare as the log renderers write seq=, time=...
+    line = " ".join(f"{key}={value if bare and BARE.fullmatch(value) else _q(value)}"
+                    for key, (value, bare) in fields.items())
+    assert _parse_kv_line(line) == {key: value for key, (value, _) in fields.items()}
+
+
+# pieces of near-miss lines: escapes inside and outside quotes, glued
+# quotes, blanks that shlex splits on and blanks that it does not
+PIECES = ["a", "b=", "=", '"', "'", "\\", '\\"', "\\\\", "\\x", " ", "\t", "\r", "\n",
+          "\x0b", "\x85", "\u2028", "#", "$", "/", "\xe9"]
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.lists(st.sampled_from(PIECES), max_size=16).map("".join), st.text()))
+@example('a="\\x\\\\\\"" b=\x0b\x85 c="" d=')
+def test_reader_agrees_with_shlex_or_rejects(line):
+    try:
+        fields = _parse_kv_line(line)
+    except ValueError:
+        return
+    assert fields == shlex_kv_line(line)
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_log_line_reads_as_shlex_reads_it(tmp_path):
+    _perfbench_gen().write_restart_log(
+        random.Random(1), tmp_path / "audit.log", tmp_path / "events.log", 300)
+    lines = [*SCENARIO_AUDIT.splitlines(), *SCENARIO_EVENTS.splitlines()]
+    for name in ("audit.log", "events.log"):
+        lines += (tmp_path / name).read_text().splitlines()
+    assert len(lines) > 1500
+    for line in lines:
+        assert _parse_kv_line(line) == shlex_kv_line(line), line
+
+
+# -- starting over logs a crash left ---------------------------------------
+
+SCENARIO_LOGS = {"audit.log": SCENARIO_AUDIT.encode(), "events.log": SCENARIO_EVENTS.encode()}
+
+
+def _start_over(tmp_path, config, torn, data):
+    for name, whole in SCENARIO_LOGS.items():
+        (tmp_path / name).write_bytes(data if name == torn else whole)
+    return Service(ServiceConfig.from_file(config))
+
+
+@pytest.mark.parametrize("torn", sorted(SCENARIO_LOGS))
+def test_torn_last_record_is_cut_at_start(tmp_path, torn):
+    config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+    whole = SCENARIO_LOGS[torn]
+    last = whole.rindex(b"\n", 0, len(whole) - 1) + 1  # where the last record starts
+
+    def state(service):
+        return (service.jobmanager.snapshot(), service.audit_log.sequence,
+                service.event_log.sequence)
+
+    clean = _start_over(tmp_path, config, torn, whole[:last])
+    expected = state(clean)
+    clean.close()
+    for cut in range(last, len(whole)):
+        service = _start_over(tmp_path, config, torn, whole[:cut])
+        try:
+            assert state(service) == expected, cut
+        finally:
+            service.close()
+        assert (tmp_path / torn).read_bytes() == whole[:last], cut
+
+    # the next record appended after the cut reads back
+    service = _start_over(tmp_path, config, torn, whole[:-1])
+    try:
+        assert service.handle_request(BO_START) == "OK job-3 PENDING"
+    finally:
+        service.close()
+    audit = read_audit_log(tmp_path / "audit.log")
+    events = read_event_log(tmp_path / "events.log")
+    assert [int(r["seq"]) for r in audit] == list(range(1, len(audit) + 1))
+    assert [int(e["seq"]) for e in events] == list(range(1, len(events) + 1))
+    assert (events[-1]["job"], events[-1]["event"]) == ("job-3", "created")
+    assert audit[-1]["source"] == "LOCAL-PEP"
+
+
+@pytest.mark.parametrize("torn", sorted(SCENARIO_LOGS))
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_unreadable_whole_line_still_stops_start(tmp_path, torn, where):
+    config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+    lines = SCENARIO_LOGS[torn].splitlines(keepends=True)
+    k = len(lines) // 2 if where == "middle" else len(lines) - 1
+    lines[k] = lines[k].replace(b"seq=", b'seq"', 1)  # one byte changed
+    corrupt = b"".join(lines)
+    with pytest.raises(CorruptLog) as e:
+        _start_over(tmp_path, config, torn, corrupt)
+    assert e.value.sequence == k + 1
+    assert (tmp_path / torn).read_bytes() == corrupt
+
+
+@pytest.mark.parametrize("separator", ["\r", "\x0c", "\x1e", "\x85", "\u2028"])
+def test_line_separator_in_a_value_keeps_the_logs_readable(tmp_path, separator):
+    # str.splitlines() and universal newlines end a line here; the logs do not
+    config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+    dn = f"/O=Grid/CN=Eve{separator}Mallory"
+    first = Service(ServiceConfig.from_file(config))
+    try:
+        assert first.handle_request(
+            f'SUBMIT dn="{dn}" rsl="&(executable=x)"').startswith("E-GATE")
+    finally:
+        first.close()
+    Service(ServiceConfig.from_file(config)).close()
+    (record,) = read_audit_log(tmp_path / "audit.log")
+    assert record["requester"] == GridIdentity.parse(dn).render()
