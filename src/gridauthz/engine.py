@@ -4,12 +4,18 @@ A request PERMITs against one document iff every applicable REQUIREMENT
 statement holds and at least one GRANT statement is fully satisfied.
 Within one rule, multiple '=' assertions on the same attribute form a
 disjunctive value set; every other assertion conjoins.
+
+Decisions run each statement's compiled checks (``_compile_statement``)
+against the request's attribute values, each resolved once per request.
+``evaluate_assertion`` is the reference truth function the compiled checks
+are tested against; nothing on the decision path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .policy import GridIdentity, PolicyDocument, PolicyStatement, StatementKind
 from .rsl import (
@@ -69,6 +75,9 @@ class AuthorizationRequest:
     action: str
     description: JobDescription
     job_context: JobContext | None = None
+    # attribute -> its values as _summarise gives them, filled as the
+    # rules ask; both documents of one authorize call share it
+    resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.action not in ACTIONS:
@@ -79,16 +88,14 @@ class AuthorizationRequest:
             raise ValueError(f"{self.action} requests need a job context")
 
 
-@dataclass(frozen=True)
-class RequirementCheck:
+class RequirementCheck(NamedTuple):
     ref: str
     applies: bool
     held: bool
     failing: RslAssertion | None = None
 
 
-@dataclass(frozen=True)
-class GrantCheck:
+class GrantCheck(NamedTuple):
     ref: str
     satisfied: bool
     failing: RslAssertion | None = None
@@ -143,7 +150,8 @@ _ORDER_OPS = {
 
 
 def evaluate_assertion(a: RslAssertion, req: AuthorizationRequest) -> bool:
-    """Total truth function for one assertion against one request."""
+    """Total truth function for one assertion against one request: the
+    reference the compiled checks of ``_first_failing`` must agree with."""
     values = _resolve(a.attribute, req)
     if a.value is NULL:
         present = values is not None and any(_nonempty(v) for v in values)
@@ -170,23 +178,150 @@ def evaluate_assertion(a: RslAssertion, req: AuthorizationRequest) -> bool:
     return True
 
 
-def _evaluate_rule(st: PolicyStatement, req: AuthorizationRequest):
-    """First failing assertion of a statement's rule, or None when it holds.
-
-    '=' assertions with a plain literal disjoin per attribute; everything
-    else (including presence checks against NULL) conjoins.
-    """
-    for check in st.checks:
-        if isinstance(check, tuple):  # '=' literals on one attribute
-            if not any(evaluate_assertion(a, req) for a in check):
-                return check[0]
-        elif not evaluate_assertion(check, req):
-            return check
-    return None
-
-
 def _statement_ref(doc: PolicyDocument, index: int, st: PolicyStatement) -> str:
     return f"{doc.source}#{index}@L{st.source_line}"
+
+
+# Kinds of compiled check.  A check is a plain tuple (kind, attribute, data,
+# assertion): ``data`` is the literal normalised once (see _equality_key)
+# and ``assertion`` the one reported when the check fails.
+#   EQ       some value's key is in the tuple ``data``
+#   EQ_SELF  the same, or some value's key is the requester's DN
+#   NEQ      no value's key is ``data``;  NEQ_SELF: none is the requester's DN
+#   ABSENT   (= NULL) no value is non-empty;  PRESENT: (!= NULL) one is
+#   LT GT LE GE  every value has integer content and compares so with the
+#            integer ``data``; there is at least one value
+#   NEVER    ordering against a literal without integer content
+EQ, EQ_SELF, NEQ, NEQ_SELF, ABSENT, PRESENT, LT, GT, LE, GE, NEVER = range(11)
+_ORDER_KINDS = {Relation.LT: LT, Relation.GT: GT, Relation.LE: LE, Relation.GE: GE}
+
+
+def _equality_key(value) -> int | str:
+    """A value's integer content when it has some, else its text.
+
+    Two values are equal in a rule when both have integer content and the
+    integers are equal ("007" = 7 = "+7"), or when either has none and the
+    texts are equal (``_values_equal``).  Text without integer content never
+    equals the text of a value with some, so that is exactly when their keys
+    are equal: an int key never equals a str key.  A rendered DN starts with
+    '/' (or is empty), so its key is its text.
+    """
+    n = int_value(value)
+    return value_text(value) if n is None else n
+
+
+def _compile_check(assertions: tuple[RslAssertion, ...]) -> tuple:
+    """One check: a single assertion, or the '=' literals of one attribute."""
+    first = assertions[0]
+    relation, value = first.relation, first.value
+    if value is NULL:
+        kind, data = (ABSENT if relation is Relation.EQ else PRESENT), None
+    elif relation is Relation.EQ:
+        data = tuple(_equality_key(a.value) for a in assertions if a.value is not SELF)
+        kind = EQ_SELF if any(a.value is SELF for a in assertions) else EQ
+    elif relation is Relation.NEQ:
+        kind, data = (NEQ_SELF, None) if value is SELF else (NEQ, _equality_key(value))
+    else:  # ordering; OrderingOnSpecial keeps NULL and SELF out
+        data = int_value(value)
+        kind = NEVER if data is None else _ORDER_KINDS[relation]
+    return (kind, first.attribute, data, first)
+
+
+def _compile_rule(assertions: tuple[RslAssertion, ...]) -> tuple[tuple, ...]:
+    """A rule's checks in evaluation order.  Per attribute, in order of first
+    appearance: its '=' literals, which disjoin and make one check, then each
+    of its other assertions, which conjoin."""
+    by_attr: dict[str, list[RslAssertion]] = {}
+    for a in assertions:
+        by_attr.setdefault(a.attribute, []).append(a)
+    checks = []
+    for asserts in by_attr.values():
+        eqs = tuple(a for a in asserts if a.relation is Relation.EQ and a.value is not NULL)
+        if eqs:
+            checks.append(_compile_check(eqs))
+        checks.extend(_compile_check((a,)) for a in asserts if a not in eqs)
+    return tuple(checks)
+
+
+def _compile_statement(doc: PolicyDocument, index: int, st: PolicyStatement):
+    """(ref, is a REQUIREMENT, action checks, rule checks), kept in the document.
+
+    Built the first time a decision reads the statement, not at parse time:
+    a decision reads only its requester's statements, and a large document
+    parses as fast as before.  A REQUIREMENT applies when all its action
+    checks, one per 'action' assertion, hold.
+    """
+    entry = doc.compiled[index] = (
+        _statement_ref(doc, index, st), st.kind is StatementKind.REQUIREMENT,
+        tuple(_compile_check((a,)) for a in st.actions), _compile_rule(st.rule.assertions))
+    return entry
+
+
+_UNRESOLVED = object()
+
+
+def _summarise(values):
+    """What the compiled checks read of an attribute's values, or None when
+    it has none: (the frozenset of their keys as ``_equality_key`` makes
+    them, whether one is non-empty, the least and the greatest integer when
+    every value has one, else None twice)."""
+    if values is None:
+        return None
+    keys = []
+    present = False
+    ints = []
+    for v in values:
+        n = int_value(v)
+        if n is None:
+            text = value_text(v)
+            keys.append(text)
+            present = present or text != ""
+        else:
+            keys.append(n)
+            ints.append(n)
+            present = True
+    if ints and len(ints) == len(keys):
+        return frozenset(keys), present, min(ints), max(ints)
+    return frozenset(keys), present, None, None
+
+
+def _first_failing(checks, req: AuthorizationRequest):
+    """The assertion of the first compiled check that fails, or None when
+    all hold.  Each attribute is resolved once per request."""
+    values = req.resolved
+    for kind, attribute, data, assertion in checks:
+        got = values.get(attribute, _UNRESOLVED)
+        if got is _UNRESOLVED:
+            got = values[attribute] = _summarise(_resolve(attribute, req))
+        if got is None:
+            if kind == NEQ or kind == NEQ_SELF or kind == ABSENT:
+                continue
+            return assertion
+        if kind == EQ:
+            held = not got[0].isdisjoint(data)
+        elif kind == PRESENT:
+            held = got[1]
+        elif kind == LT:
+            held = got[3] is not None and got[3] < data
+        elif kind == NEQ:
+            held = data not in got[0]
+        elif kind == ABSENT:
+            held = not got[1]
+        elif kind == LE:
+            held = got[3] is not None and got[3] <= data
+        elif kind == GT:
+            held = got[2] is not None and got[2] > data
+        elif kind == GE:
+            held = got[2] is not None and got[2] >= data
+        elif kind == EQ_SELF:
+            held = req.requester.render() in got[0] or not got[0].isdisjoint(data)
+        elif kind == NEQ_SELF:
+            held = req.requester.render() not in got[0]
+        else:  # NEVER
+            held = False
+        if not held:
+            return assertion
+    return None
 
 
 def evaluate_document(doc: PolicyDocument, req: AuthorizationRequest):
@@ -199,19 +334,20 @@ def evaluate_document(doc: PolicyDocument, req: AuthorizationRequest):
     grant_checks = []
     failed_requirement = None
     satisfying = None
+    compiled = doc.compiled
     for i, st in matched:
-        ref = _statement_ref(doc, i, st)
-        if st.kind is StatementKind.REQUIREMENT:
-            applies = all(evaluate_assertion(a, req) for a in st.actions)
-            if not applies:
+        ref, requirement, action_checks, checks = (
+            compiled.get(i) or _compile_statement(doc, i, st))
+        if requirement:
+            if _first_failing(action_checks, req) is not None:
                 requirement_checks.append(RequirementCheck(ref, False, True))
                 continue
-            failing = _evaluate_rule(st, req)
+            failing = _first_failing(checks, req)
             requirement_checks.append(RequirementCheck(ref, True, failing is None, failing))
             if failing is not None and failed_requirement is None:
                 failed_requirement = ref
         else:
-            failing = _evaluate_rule(st, req)
+            failing = _first_failing(checks, req)
             grant_checks.append(GrantCheck(ref, failing is None, failing))
             if failing is None and satisfying is None:
                 satisfying = ref

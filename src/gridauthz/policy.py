@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .rsl import (
-    NULL,
     Relation,
     RslAssertion,
     RslConjunction,
@@ -65,6 +63,7 @@ class GridIdentity:
 
     components: tuple[tuple[str, str], ...]
     _key: str = field(init=False, repr=False)
+    _text: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -84,7 +83,11 @@ class GridIdentity:
         return hash(self.key())
 
     def render(self) -> str:
-        return "".join(f"/{k}={v}" for k, v in self.components)
+        """The DN as written, built on first use: a request renders its
+        requester for every SELF check, audit record and event."""
+        if self._text is None:
+            object.__setattr__(self, "_text", "".join(f"/{k}={v}" for k, v in self.components))
+        return self._text
 
     def __repr__(self):
         return f"GridIdentity({self.render()!r})"
@@ -139,26 +142,6 @@ class PolicyStatement:
         object.__setattr__(self, "actions", tuple(
             a for a in self.rule.assertions if a.attribute == "action"))
 
-    @cached_property
-    def checks(self) -> tuple[RslAssertion | tuple[RslAssertion, ...], ...]:
-        """The rule as checks in evaluation order.  Per attribute, in order of
-        first appearance: its '=' literals, which disjoin (two or more come
-        as one tuple), then each of its other assertions, which conjoin.
-
-        Built on first use, not at parse time: a decision reads only its
-        requester's statements, and a large document parses as fast as before.
-        """
-        by_attr: dict[str, list[RslAssertion]] = {}
-        for a in self.rule.assertions:
-            by_attr.setdefault(a.attribute, []).append(a)
-        checks: list[RslAssertion | tuple[RslAssertion, ...]] = []
-        for asserts in by_attr.values():
-            eqs = tuple(a for a in asserts if a.relation is Relation.EQ and a.value is not NULL)
-            if eqs:
-                checks.append(eqs[0] if len(eqs) == 1 else eqs)
-            checks.extend(a for a in asserts if a not in eqs)
-        return tuple(checks)
-
 
 @dataclass(frozen=True)
 class PolicyDocument:
@@ -167,12 +150,16 @@ class PolicyDocument:
     label: str = ""
     # statement indices by subject key, each list ascending
     by_subject: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    # by statement index, the compiled form of each statement read so far:
+    # filled by the engine, so a reloaded document starts empty
+    compiled: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[str, list[int]] = {}
         for i, st in enumerate(self.statements):
             index.setdefault(st.subject.prefix.key(), []).append(i)
         object.__setattr__(self, "by_subject", index)
+        object.__setattr__(self, "compiled", {})
 
     def statements_for(self, identity: GridIdentity) -> list[tuple[int, PolicyStatement]]:
         """(index, statement) of every statement whose subject matches, in

@@ -238,7 +238,8 @@ def _cut_torn_tail(path: Path):
 class AuditLog(_SequencedLog):
     def __init__(self, path: Path):
         _cut_torn_tail(path)
-        super().__init__(path, len(read_audit_log(path)))
+        # counted, not kept: nothing reads an audit record back at start
+        super().__init__(path, sum(1 for _ in _read_log(path)))
 
     def record(self, timestamp, requester, action, job_id, decision: Decision,
                ref, source) -> AuditRecord:
@@ -275,23 +276,23 @@ class EventLog(_SequencedLog):
         self._write(" ".join(parts))
 
 
-def _read_log(path) -> list[dict]:
-    """Parse a sequenced log strictly; a missing file is an empty log.
+def _read_log(path):
+    """Parse a sequenced log strictly, one record at a time; a missing file
+    is an empty log.
 
     Every non-blank line must parse and carry the next sequence number,
     otherwise CorruptLog names the first sequence that is not there.
     """
     path = Path(path)
     if not path.exists():
-        return []
-    records = []
+        return
+    expected = 1
     # records end at "\n" only: a quoted value may hold "\r", "\x85" or
     # "\u2028", which universal newlines and str.splitlines() split on
     with open(path, encoding="utf-8", newline="\n") as fh:
         for raw in fh:
             if not raw.strip():
                 continue
-            expected = len(records) + 1
             try:
                 fields = _parse_kv_line(raw)
                 seq = int(fields["seq"])
@@ -299,16 +300,16 @@ def _read_log(path) -> list[dict]:
                 raise CorruptLog(expected, f"unreadable record: {e}") from e
             if seq != expected:
                 raise CorruptLog(expected, f"sequence jumped to {seq}")
-            records.append(fields)
-    return records
+            expected += 1
+            yield fields
 
 
 def read_audit_log(path) -> list[dict]:
-    return _read_log(path)
+    return list(_read_log(path))
 
 
 def read_event_log(path) -> list[dict]:
-    events = _read_log(path)
+    events = list(_read_log(path))
     for ev in events:
         try:
             ev["time"] = int(ev["time"])
@@ -451,6 +452,8 @@ class Service:
     def _dispatch(self, line: str) -> str:
         if not line:
             raise ProtocolError("empty request")
+        if "\n" in line:  # TCP splits there; in process it would split a record
+            raise ProtocolError("newline inside a request line")
         verb, _, rest = line.partition(" ")
         try:
             fields = _parse_kv_line(rest)

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from gridauthz.engine import (
     AuthorizationRequest,
     Decision,
+    JobContext,
     Outcome,
+    _compile_rule,
+    _first_failing,
     authorize,
     combine_decisions,
     deny,
@@ -25,11 +28,22 @@ from gridauthz.policy import (
     empty_document,
     parse_policy,
 )
-from gridauthz.rsl import parse_rsl
+from gridauthz.rsl import (
+    NULL,
+    SELF,
+    Integer,
+    JobDescription,
+    Relation,
+    RslAssertion,
+    RslConjunction,
+    Text,
+    parse_rsl,
+)
 
 import linear_evaluator
 from conftest import (
     BO_DN,
+    KATE_DN,
     STRANGER_DN,
     management_request,
     random_document,
@@ -241,6 +255,87 @@ def test_indexed_evaluator_matches_linear_oracle_on_large_documents(seed):
         dn = STRANGER_DN if rng.random() < 0.05 else _tree_dn(rng)
         req = dataclasses.replace(random_request(rng), requester=GridIdentity.parse(dn))
         assert evaluate_document(doc, req) == linear_evaluator.evaluate_document(doc, req)
+
+
+# -- compiled checks against the reference truth function --------------------
+
+# integer-looking text, integers, plain and empty text, and DNs (for SELF)
+_TEXTS = ("007", "+7", "-0", "0", "7", "", "x", "test1", "with space", BO_DN, KATE_DN)
+_DNS = (BO_DN, KATE_DN, STRANGER_DN)
+_ATTRIBUTES = ("count", "executable", "queue", "jobtag", "jobowner", "signal", "action")
+_values = st.one_of(st.sampled_from(_TEXTS).map(Text),
+                    st.sampled_from((7, 0, -3, 4)).map(Integer))
+
+
+@st.composite
+def _assertions(draw):
+    attribute = draw(st.sampled_from(_ATTRIBUTES))
+    relation = draw(st.sampled_from(list(Relation)))
+    if relation.is_ordering:  # non-integer literals included
+        value = draw(_values)
+    else:
+        value = draw(st.one_of(_values, st.sampled_from((NULL, SELF))))
+    return RslAssertion(attribute, relation, value)
+
+
+@st.composite
+def _requests(draw):
+    """Start and management requests; description attributes hold zero to
+    three values, and may name the attributes a job context supplies."""
+    requester = GridIdentity.parse(draw(st.sampled_from(_DNS)))
+    names = draw(st.lists(st.sampled_from(_ATTRIBUTES), unique=True, max_size=4))
+    description = JobDescription(
+        (name, tuple(draw(st.lists(_values, max_size=3)))) for name in names)
+    action = draw(st.sampled_from(("start", "cancel", "information", "signal")))
+    if action == "start":
+        return AuthorizationRequest(requester, action, description)
+    context = JobContext(
+        "job-1", GridIdentity.parse(draw(st.sampled_from(_DNS))),
+        draw(st.one_of(st.none(), st.sampled_from(_TEXTS))),
+        draw(st.one_of(st.none(), st.sampled_from(("suspend", "priority", "7", "")))))
+    return AuthorizationRequest(requester, action, description, context)
+
+
+@settings(max_examples=400)
+@given(st.lists(_assertions(), min_size=1, max_size=6), _requests())
+def test_compiled_checks_match_evaluate_assertion(assertions, req):
+    """Each assertion compiled alone holds exactly when evaluate_assertion
+    says so, and a whole rule fails at the assertion the reference grouping
+    names.  One request serves every check, as in a decision."""
+    for a in assertions:
+        held = _first_failing(_compile_rule((a,)), req) is None
+        assert held is evaluate_assertion(a, req), a
+    assert (_first_failing(_compile_rule(tuple(assertions)), req)
+            == linear_evaluator.evaluate_rule(RslConjunction(tuple(assertions)), req))
+
+
+def test_compiled_equality_cases(bo, kate):
+    """The cases the compiled form normalises, each spelled out."""
+    def holds(rule, req):
+        conj = parse_rsl(rule)
+        compiled = _first_failing(_compile_rule(conj.assertions), req) is None
+        assert compiled is (linear_evaluator.evaluate_rule(conj, req) is None)
+        return compiled
+
+    seven = AuthorizationRequest(bo, "start", JobDescription([("count", (Text("007"),))]))
+    assert holds('(count = 7)', seven) and holds('(count = "+7")', seven)
+    assert not holds('(count = "7x")', seven) and holds("(count != 8)", seven)
+    assert holds("(count != NULL)", seven) and not holds("(count = NULL)", seven)
+    zero = AuthorizationRequest(bo, "start", JobDescription([("count", (Text("-0"),))]))
+    assert holds("(count = 0)", zero) and holds("(count <= 0)", zero)
+    empty = AuthorizationRequest(bo, "start", JobDescription([("queue", (Text(""),))]))
+    assert holds("(queue = NULL)", empty) and not holds("(queue != NULL)", empty)
+    assert holds('(queue = "")', empty) and not holds("(queue < 1)", empty)
+    assert not holds("(count < x)", seven) and not holds("(count >= x)", seven)
+    multi = AuthorizationRequest(
+        bo, "start", JobDescription([("count", (Integer(2), Text("5")))]))
+    assert holds("(count > 1)(count < 6)", multi) and not holds("(count < 5)", multi)
+    assert not holds("(count = 3)", multi) and not holds("(count != 5)", multi)
+    own = management_request(bo, "signal", bo, "NFC", signal_kind="suspend")
+    other = management_request(kate, "signal", bo, "NFC", signal_kind="suspend")
+    assert holds("(jobowner = SELF)(jobtag = NFC)(signal = suspend)", own)
+    assert not holds("(jobowner = SELF)", other) and holds("(jobowner != SELF)", other)
+    assert holds("(jobowner = SELF)(jobowner = x)", own)
 
 
 class TestCombineDecisions:

@@ -668,3 +668,19 @@ def test_line_separator_in_a_value_keeps_the_logs_readable(tmp_path, separator):
     Service(ServiceConfig.from_file(config)).close()
     (record,) = read_audit_log(tmp_path / "audit.log")
     assert record["requester"] == GridIdentity.parse(dn).render()
+
+
+@pytest.mark.parametrize("line", ['SUBMIT dn="/O=Grid/CN=x\ny" rsl="&(executable=a)"',
+                                  'SUBMIT dn="/O=Grid/CN=x" rsl="&(executable=a\n)"'])
+def test_raw_newline_in_a_request_is_one_syntax_error(tmp_path, line):
+    # TCP splits a line there; in process the audit record would be split
+    config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+    first = Service(ServiceConfig.from_file(config))
+    try:
+        before = (tmp_path / "audit.log").read_bytes()
+        reply = first.handle_request(line)
+        assert reply.startswith("E-SYNTAX ") and "\n" not in reply
+        assert (tmp_path / "audit.log").read_bytes() == before
+    finally:
+        first.close()
+    Service(ServiceConfig.from_file(config)).close()
