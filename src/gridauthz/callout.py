@@ -2,19 +2,21 @@
 
 The abstract callout name 'gram-authz' must be bound before the service
 starts.  Providers are plain callables taking CalloutArgs and returning
-CalloutResult; a provider that raises is reported as SYSTEM_FAILURE,
-never propagated.
+CalloutResult, built with success(), denied() or system_failure() unless
+it wraps the policy documents' decision; a provider that raises is
+reported as SYSTEM_FAILURE, never propagated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import engine
 from .engine import AuthorizationRequest, Decision, JobContext, Outcome
 from .policy import GridIdentity
-from .rsl import JobDescription, description_to_rsl
+from .rsl import JobDescription
 
 GRAM_AUTHZ = "gram-authz"
 
@@ -57,11 +59,6 @@ class CalloutArgs:
         if not management and self.initiator is not None:
             raise ValueError("start callouts carry no initiator")
 
-    @property
-    def rsl_text(self) -> str:
-        """The job description as RSL text, for providers that want text."""
-        return description_to_rsl(self.description)
-
 
 class CalloutOutcome(Enum):
     SUCCESS = "SUCCESS"
@@ -69,44 +66,34 @@ class CalloutOutcome(Enum):
     SYSTEM_FAILURE = "SYSTEM_FAILURE"
 
 
-@dataclass(frozen=True)
-class CalloutResult:
-    outcome: CalloutOutcome
-    reason: str = ""
-    # audit payload from the rsl-pep provider; opaque to the callout layer
-    explanations: tuple | None = None
-
-    def __post_init__(self):
-        if self.outcome is CalloutOutcome.DENIED and not self.reason:
-            raise ValueError("DENIED results carry a reason")
+_OUTCOMES = {
+    Outcome.PERMIT: CalloutOutcome.SUCCESS,
+    Outcome.DENY: CalloutOutcome.DENIED,
+    Outcome.ERROR: CalloutOutcome.SYSTEM_FAILURE,
+}
 
 
-def success(explanations=None) -> CalloutResult:
-    return CalloutResult(CalloutOutcome.SUCCESS, "", explanations)
+class CalloutResult(NamedTuple):
+    decision: Decision
+
+    @property
+    def outcome(self) -> CalloutOutcome:
+        return _OUTCOMES[self.decision.outcome]
 
 
-def denied(reason: str, explanations=None) -> CalloutResult:
-    return CalloutResult(CalloutOutcome.DENIED, reason, explanations)
+# decisions not made by the policy documents are the callout layer's own
+def success() -> CalloutResult:
+    return CalloutResult(Decision(Outcome.PERMIT, "", "CALLOUT"))
+
+
+def denied(reason: str) -> CalloutResult:
+    if not reason:
+        raise ValueError("DENIED results carry a reason")
+    return CalloutResult(Decision(Outcome.DENY, reason, "CALLOUT"))
 
 
 def system_failure(detail: str) -> CalloutResult:
-    return CalloutResult(CalloutOutcome.SYSTEM_FAILURE, detail)
-
-
-def decision_of(result: CalloutResult) -> Decision:
-    if result.outcome is CalloutOutcome.SUCCESS:
-        return engine.permit()
-    if result.outcome is CalloutOutcome.DENIED:
-        return engine.deny(result.reason)
-    return engine.error(result.reason)
-
-
-def result_of(decision: Decision, explanations=None) -> CalloutResult:
-    if decision.outcome is Outcome.PERMIT:
-        return success(explanations)
-    if decision.outcome is Outcome.DENY:
-        return denied(decision.reason, explanations)
-    return system_failure(decision.reason)
+    return CalloutResult(Decision(Outcome.ERROR, detail, "CALLOUT"))
 
 
 @dataclass
@@ -176,8 +163,7 @@ def make_rsl_pep_provider(get_policies):
             description=args.description,
             job_context=args.job_context,
         )
-        decision, explanations = engine.authorize(local_doc, vo_doc, req)
-        return result_of(decision, explanations)
+        return CalloutResult(engine.authorize(local_doc, vo_doc, req)[0])
 
     return rsl_pep
 

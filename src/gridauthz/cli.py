@@ -13,10 +13,10 @@ import shutil
 import sys
 from pathlib import Path
 
-from .engine import AuthorizationRequest, JobContext, MANAGEMENT_ACTIONS, authorize
+from .engine import AuthorizationRequest, JobContext, authorize
 from .policy import GridIdentity, PolicyError, lint_policy, parse_policy
 from .rsl import JobDescription, RslError, apply_defaults, parse_rsl, to_job_description
-from .service import Service, ServiceConfig, _q, send_request
+from .service import Service, ServiceConfig, _q, explain, send_request
 
 
 def main(argv=None) -> int:
@@ -183,31 +183,11 @@ def cmd_policy_eval(args) -> int:
             requester, args.action, description,
             JobContext("job-0", GridIdentity.parse(args.jobowner),
                        args.jobtag, args.signal_kind))
-    decision, (local_expl, vo_expl) = authorize(local_doc, vo_doc, req)
-    print(f"{decision.outcome.value} {decision.reason}".strip())
+    decision, explanations = authorize(local_doc, vo_doc, req)
     if args.explain:
-        for name, expl in (("LOCAL", local_expl), ("VO", vo_expl)):
-            print(f"{name}:")
-            if not expl.matched_requirements and not expl.matched_grants:
-                print("  no applicable statements")
-            for check in expl.matched_requirements:
-                if not check.applies:
-                    status = "not applicable"
-                elif check.held:
-                    status = "held"
-                else:
-                    status = f"FAILED at {check.failing.render()}"
-                print(f"  requirement {check.ref}: {status}")
-            for check in expl.matched_grants:
-                if check.satisfied:
-                    status = "satisfied"
-                elif check.failing is not None:
-                    status = f"failed at {check.failing.render()}"
-                else:
-                    status = "failed"
-                print(f"  grant {check.ref}: {status}")
-            if expl.satisfying_grant:
-                print(f"  satisfied by {expl.satisfying_grant}")
+        print(explain(decision, explanations))
+    else:
+        print(f"{decision.outcome.value} {decision.reason}".strip())
     return 0 if decision.is_permit else 1
 
 

@@ -39,22 +39,26 @@ class Outcome(Enum):
     ERROR = "ERROR"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     outcome: Outcome
     reason: str = ""
+    # what decided, as the audit record names it: GATE, SELF-RULE, PEP,
+    # LOCAL-PEP, VO-PEP or CALLOUT; None for one document's decision
+    source: str | None = None
+    # the gridmap account or the statement ref(s) that decided, if any
+    ref: str | None = None
 
     @property
     def is_permit(self) -> bool:
         return self.outcome is Outcome.PERMIT
 
 
-def permit() -> Decision:
-    return Decision(Outcome.PERMIT)
+def permit(ref: str | None = None) -> Decision:
+    return Decision(Outcome.PERMIT, "", None, ref)
 
 
-def deny(reason: str) -> Decision:
-    return Decision(Outcome.DENY, reason)
+def deny(reason: str, ref: str | None = None) -> Decision:
+    return Decision(Outcome.DENY, reason, None, ref)
 
 
 def error(detail: str) -> Decision:
@@ -353,10 +357,10 @@ def evaluate_document(doc: PolicyDocument, req: AuthorizationRequest):
                 satisfying = ref
 
     if failed_requirement is not None:
-        decision = deny(f"requirement violated: {failed_requirement}")
+        decision = deny(f"requirement violated: {failed_requirement}", failed_requirement)
         satisfying = None
     elif satisfying is not None:
-        decision = permit()
+        decision = permit(satisfying)
     else:
         decision = deny("no grant satisfied")
     explanation = Explanation(
@@ -366,15 +370,19 @@ def evaluate_document(doc: PolicyDocument, req: AuthorizationRequest):
 
 
 def combine_decisions(local: Decision, vo: Decision) -> Decision:
-    """Conjunction of the two PEP decisions; ERROR dominates DENY."""
+    """Conjunction of the two PEP decisions; ERROR dominates DENY.
+
+    A DENY names the document that denied and carries its ref; a PERMIT
+    carries both documents' satisfying grants.
+    """
     if local.outcome is Outcome.ERROR or vo.outcome is Outcome.ERROR:
         details = [d.reason for d in (local, vo) if d.outcome is Outcome.ERROR]
         return error("; ".join(details))
     if local.outcome is Outcome.DENY:
-        return deny(f"LOCAL: {local.reason}")
+        return Decision(Outcome.DENY, f"LOCAL: {local.reason}", "LOCAL-PEP", local.ref)
     if vo.outcome is Outcome.DENY:
-        return deny(f"VO: {vo.reason}")
-    return permit()
+        return Decision(Outcome.DENY, f"VO: {vo.reason}", "VO-PEP", vo.ref)
+    return Decision(Outcome.PERMIT, "", "PEP", f"{local.ref}+{vo.ref}")
 
 
 def authorize(local_doc: PolicyDocument, vo_doc: PolicyDocument, req: AuthorizationRequest):

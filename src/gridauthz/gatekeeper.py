@@ -8,11 +8,10 @@ reaches the callout layer.
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .callout import CalloutArgs, CalloutOutcome, Callouts, CalloutResult, GRAM_AUTHZ
+from .callout import CalloutArgs, Callouts, GRAM_AUTHZ
 from .engine import Decision, Outcome
-from . import callout as _callout
 from .policy import GridIdentity, IdentitySyntaxError
 from .rsl import (JobDescription, RepeatedAttribute, apply_defaults, parse_rsl,
                   to_job_description)
@@ -35,36 +34,30 @@ class NotAuthorized(Exception):
 
 
 class PolicyDenied(Exception):
-    def __init__(self, reason: str, result: CalloutResult | None = None):
+    def __init__(self, reason: str):
         self.reason = reason
-        self.result = result
         super().__init__(reason)
 
 
 class PolicyFailure(Exception):
-    def __init__(self, detail: str, result: CalloutResult | None = None):
+    def __init__(self, detail: str):
         self.detail = detail
-        self.result = result
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class GridmapEntry:
-    identity: GridIdentity
-    account: str
+def require_permit(decision: Decision):
+    """Raise PolicyDenied / PolicyFailure unless the decision is a PERMIT."""
+    if decision.outcome is Outcome.DENY:
+        raise PolicyDenied(decision.reason)
+    if decision.outcome is Outcome.ERROR:
+        raise PolicyFailure(decision.reason)
 
 
 @dataclass(frozen=True)
 class Gridmap:
-    entries: tuple[GridmapEntry, ...]
+    # identity -> local account; the first entry for an identity wins
+    accounts: dict[GridIdentity, str]
     warnings: tuple[str, ...] = ()
-    accounts: dict[GridIdentity, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        accounts: dict[GridIdentity, str] = {}
-        for entry in self.entries:
-            accounts.setdefault(entry.identity, entry.account)
-        object.__setattr__(self, "accounts", accounts)
 
     def lookup(self, identity: GridIdentity):
         return self.accounts.get(identity)
@@ -72,9 +65,8 @@ class Gridmap:
 
 def parse_gridmap(text: str) -> Gridmap:
     """One entry per line: a double-quoted DN then a local account name."""
-    entries: list[GridmapEntry] = []
+    accounts: dict[GridIdentity, str] = {}
     warnings: list[str] = []
-    seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -92,12 +84,11 @@ def parse_gridmap(text: str) -> Gridmap:
             identity = GridIdentity.parse(dn_text)
         except IdentitySyntaxError as e:
             raise GridmapSyntaxError(lineno, str(e)) from e
-        if identity in seen:
+        if identity in accounts:
             warnings.append(f"line {lineno}: duplicate entry for {identity.render()} ignored")
             continue
-        seen.add(identity)
-        entries.append(GridmapEntry(identity, rest[0]))
-    return Gridmap(tuple(entries), tuple(warnings))
+        accounts[identity] = rest[0]
+    return Gridmap(accounts, tuple(warnings))
 
 
 def authorize_and_map(gridmap: Gridmap, identity: GridIdentity) -> str:
@@ -115,7 +106,6 @@ class AdmissionTicket:
     account: str
     description: JobDescription
     decision: Decision
-    result: CalloutResult
     # set by the job manager: a ticket admits one job
     submitted: bool = False
 
@@ -140,37 +130,19 @@ def admit(
         account = authorize_and_map(gridmap, requester)
     except NotAuthorized:
         if audit:
-            audit("GATE", requester, "start", None,
-                  Decision(Outcome.DENY, "not in gridmap"), None)
+            audit(requester, "start", None, Decision(Outcome.DENY, "not in gridmap", "GATE"))
         raise
     if audit:
-        audit("GATE", requester, "start", None, Decision(Outcome.PERMIT), account)
+        audit(requester, "start", None, Decision(Outcome.PERMIT, "", "GATE", account))
     args = CalloutArgs(requester=requester, action="start", description=description)
-    result = callouts.invoke(GRAM_AUTHZ, args)
-    decision = _callout.decision_of(result)
+    decision = callouts.invoke(GRAM_AUTHZ, args).decision
     if audit:
-        audit("PEP", requester, "start", None, decision, _audit_ref(result))
-    if result.outcome is CalloutOutcome.DENIED:
-        raise PolicyDenied(result.reason, result)
-    if result.outcome is CalloutOutcome.SYSTEM_FAILURE:
-        raise PolicyFailure(result.reason, result)
+        audit(requester, "start", None, decision)
+    require_permit(decision)
     return AdmissionTicket(
         ticket_id=uuid.uuid4().hex,
         requester=requester,
         account=account,
         description=description,
         decision=decision,
-        result=result,
     )
-
-
-def _audit_ref(result: CalloutResult):
-    if result.explanations:
-        local_expl, vo_expl = result.explanations
-        if local_expl.satisfying_grant and vo_expl.satisfying_grant:
-            return f"{local_expl.satisfying_grant}+{vo_expl.satisfying_grant}"
-        for expl in (local_expl, vo_expl):
-            for check in expl.matched_requirements:
-                if check.applies and not check.held:
-                    return check.ref
-    return None

@@ -13,13 +13,15 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .callout import CalloutArgs, CalloutOutcome, Callouts, GRAM_AUTHZ, decision_of
-from .engine import Decision, JobContext, MANAGEMENT_ACTIONS, Outcome, permit
-from .gatekeeper import AdmissionTicket, PolicyDenied, PolicyFailure
+from .callout import CalloutArgs, Callouts, GRAM_AUTHZ
+from .engine import Decision, JobContext, MANAGEMENT_ACTIONS, Outcome
+from .gatekeeper import AdmissionTicket, PolicyDenied, require_permit
 from .policy import GridIdentity
 from .rsl import JobDescription, description_to_rsl, int_value, value_text
 
 DEFAULT_DURATION = 10
+# a job owner manages their own job without a callout
+SELF_RULE = Decision(Outcome.PERMIT, "", "SELF-RULE")
 
 
 class JobState(str, Enum):
@@ -266,10 +268,9 @@ class JobManager:
         if action not in MANAGEMENT_ACTIONS:
             raise ValueError(f"not a management action: {action!r}")
         if self.config.self_management and requester == record.owner:
-            decision = permit()
             if self.audit:
-                self.audit("SELF-RULE", requester, action, record.job_id, decision, None)
-            return decision
+                self.audit(requester, action, record.job_id, SELF_RULE)
+            return SELF_RULE
         args = CalloutArgs(
             requester=requester,
             action=action,
@@ -283,26 +284,17 @@ class JobManager:
                 signal_kind=signal_kind,
             ),
         )
-        result = self.callouts.invoke(GRAM_AUTHZ, args)
-        decision = decision_of(result)
+        decision = self.callouts.invoke(GRAM_AUTHZ, args).decision
         if self.audit:
-            self.audit("PEP", requester, action, record.job_id, decision,
-                       _satisfying_ref(result))
+            self.audit(requester, action, record.job_id, decision)
         return decision
-
-    def _require_permit(self, decision: Decision):
-        if decision.outcome is Outcome.DENY:
-            raise PolicyDenied(decision.reason)
-        if decision.outcome is Outcome.ERROR:
-            raise PolicyFailure(decision.reason)
 
     # -- management operations -------------------------------------------
 
     def cancel(self, job_id: str, requester: GridIdentity) -> JobRecord:
         with self._lock:
             record = self._get(job_id)
-            self._require_permit(
-                self.authorize_management(record, requester, "cancel"))
+            require_permit(self.authorize_management(record, requester, "cancel"))
             self._apply(record, "canceled", requester.render(), self.clock)
             return record
 
@@ -314,8 +306,7 @@ class JobManager:
             raise ValueError("priority signal needs an integer argument")
         with self._lock:
             record = self._get(job_id)
-            self._require_permit(
-                self.authorize_management(record, requester, "signal", kind))
+            require_permit(self.authorize_management(record, requester, "signal", kind))
             actor = requester.render()
             if kind == "suspend":
                 self._apply(record, "suspended", actor, self.clock)
@@ -333,8 +324,7 @@ class JobManager:
     def status(self, job_id: str, requester: GridIdentity) -> dict:
         with self._lock:
             record = self._get(job_id)
-            self._require_permit(
-                self.authorize_management(record, requester, "information"))
+            require_permit(self.authorize_management(record, requester, "information"))
             return record.status_view()
 
     def list_jobs(self, jobtag: str | None = None, owner: GridIdentity | None = None,
@@ -396,11 +386,3 @@ class JobManager:
 
 def _fmt(value):
     return "-" if value is None else str(value)
-
-
-def _satisfying_ref(result):
-    if result.outcome is CalloutOutcome.SUCCESS and result.explanations:
-        local_expl, vo_expl = result.explanations
-        if local_expl.satisfying_grant and vo_expl.satisfying_grant:
-            return f"{local_expl.satisfying_grant}+{vo_expl.satisfying_grant}"
-    return None

@@ -39,7 +39,6 @@ from .engine import (
     Decision,
     JobContext,
     MANAGEMENT_ACTIONS,
-    Outcome,
     authorize,
 )
 from .gatekeeper import (
@@ -69,7 +68,7 @@ from .policy import (
     PolicySyntaxError,
     parse_policy,
 )
-from .rsl import JobDescription, RslError, apply_defaults, parse_rsl, to_job_description
+from .rsl import RslError, apply_defaults, parse_rsl, to_job_description
 
 
 class ConfigError(ValueError):
@@ -413,12 +412,9 @@ class Service:
 
     # -- audit / event plumbing -------------------------------------------
 
-    def _audit(self, source, requester, action, job_id, decision: Decision, ref):
-        if source == "PEP":
-            source = "VO-PEP" if decision.reason.startswith("VO: ") else "LOCAL-PEP"
-        self.audit_log.record(
-            self.jobmanager.clock if hasattr(self, "jobmanager") else 0,
-            requester.render(), action, job_id, decision, ref, source)
+    def _audit(self, requester, action, job_id, decision: Decision):
+        self.audit_log.record(self.jobmanager.clock, requester.render(), action, job_id,
+                              decision, decision.ref, decision.source)
 
     def _on_event(self, record: JobRecord, event, actor, time, payload):
         self.event_log.record(record.job_id, event, actor, time, payload)
@@ -540,13 +536,7 @@ class Service:
                            fields.get("signal")))
         else:
             raise ProtocolError(f"unknown action {action!r}")
-        local_doc, vo_doc = self._policies
-        decision, (local_expl, vo_expl) = authorize(local_doc, vo_doc, req)
-        return (
-            f"OK {decision.outcome.value} reason={_q(decision.reason)} "
-            f"local={_q(_explain_summary(local_expl))} "
-            f"vo={_q(_explain_summary(vo_expl))}"
-        )
+        return "OK " + explain(*authorize(*self._policies, req))
 
     def _cmd_tick(self, fields):
         (raw,) = self._need(fields, "now")
@@ -600,6 +590,18 @@ class Service:
         server = getattr(self, "_server", None)
         if server is not None:
             server.shutdown()
+
+
+def explain(decision: Decision, explanations) -> str:
+    """An ``authorize`` result as one line: the combined decision and what
+    each document made of the request.  The body of a POLICY-EVAL response
+    and the output of ``policy eval --explain``."""
+    local_expl, vo_expl = explanations
+    return (
+        f"{decision.outcome.value} reason={_q(decision.reason)} "
+        f"local={_q(_explain_summary(local_expl))} "
+        f"vo={_q(_explain_summary(vo_expl))}"
+    )
 
 
 def _explain_summary(expl) -> str:

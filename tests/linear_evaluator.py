@@ -67,10 +67,10 @@ def evaluate_document(doc, req):
                 satisfying = ref
 
     if failed_requirement is not None:
-        decision = deny(f"requirement violated: {failed_requirement}")
+        decision = deny(f"requirement violated: {failed_requirement}", failed_requirement)
         satisfying = None
     elif satisfying is not None:
-        decision = permit()
+        decision = permit(satisfying)
     else:
         decision = deny("no grant satisfied")
     return decision, Explanation(tuple(requirement_checks), tuple(grant_checks), satisfying)

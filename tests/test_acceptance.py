@@ -13,7 +13,6 @@ from gridauthz.callout import (
     CalloutConfig,
     Callouts,
     GRAM_AUTHZ,
-    decision_of,
     make_builtin_registry,
     system_failure,
 )
@@ -202,9 +201,9 @@ def test_combination_conjunction(ref_local, ref_vo, bo):
 
     # a faulting provider turns the whole pipeline into an error, even when
     # the policy sources would have permitted the request
-    for other in (permit(), decision_of(system_failure("injected"))):
+    for other in (permit(), system_failure("injected").decision):
         assert combine_decisions(
-            decision_of(system_failure("injected")), other
+            system_failure("injected").decision, other
         ).outcome is Outcome.ERROR
 
     registry = make_builtin_registry(lambda: (ref_local, ref_vo))
@@ -372,12 +371,12 @@ def test_audit_and_replay(tmp_path):
     assert [int(r["seq"]) for r in records] == list(range(1, len(records) + 1))
     assert [(r["source"], r["decision"]) for r in records] == [
         ("GATE", "PERMIT"),       # Bo passes the account gate
-        ("LOCAL-PEP", "PERMIT"),  # Bo's start is allowed by policy
+        ("PEP", "PERMIT"),        # Bo's start is allowed by policy
         ("LOCAL-PEP", "DENY"),    # Kate's suspend rejected pre-reload
-        ("LOCAL-PEP", "PERMIT"),  # ... allowed after the policy swap
-        ("LOCAL-PEP", "PERMIT"),  # Kate cancels Bo's job
+        ("PEP", "PERMIT"),        # ... allowed after the policy swap
+        ("PEP", "PERMIT"),        # Kate cancels Bo's job
         ("GATE", "PERMIT"),       # Kate passes the gate
-        ("LOCAL-PEP", "PERMIT"),  # Kate's own start
+        ("PEP", "PERMIT"),        # Kate's own start
         ("SELF-RULE", "PERMIT"),  # Kate reprioritizes her own job
     ]
 

@@ -6,20 +6,19 @@ from gridauthz.callout import (
     CalloutConfigError,
     CalloutOutcome,
     CalloutRegistry,
+    CalloutResult,
     Callouts,
     DuplicateProvider,
     GRAM_AUTHZ,
     MissingBinding,
-    decision_of,
     denied,
     make_builtin_registry,
     parse_callout_config,
-    result_of,
     success,
     system_failure,
 )
-from gridauthz.engine import Outcome, deny, error, permit
-from gridauthz.rsl import apply_defaults, parse_rsl, to_job_description
+from gridauthz.engine import Decision, Outcome, deny, error, permit
+from gridauthz.rsl import apply_defaults, description_to_rsl, parse_rsl, to_job_description
 
 
 def description(rsl):
@@ -76,7 +75,7 @@ class TestInvoke:
                             make_builtin_registry(lambda: (None, None)))
         result = callouts.invoke(GRAM_AUTHZ, start_args(bo))
         assert result.outcome is CalloutOutcome.DENIED
-        assert result.reason == "deny-all"
+        assert result.decision.reason == "deny-all"
 
     def test_unbound_name_is_system_failure(self, bo):
         callouts = Callouts(CalloutConfig({}, []),
@@ -100,7 +99,7 @@ class TestInvoke:
         callouts = Callouts(CalloutConfig({GRAM_AUTHZ: "boom"}, []), registry)
         result = callouts.invoke(GRAM_AUTHZ, start_args(bo))
         assert result.outcome is CalloutOutcome.SYSTEM_FAILURE
-        assert "backend down" in result.reason
+        assert "backend down" in result.decision.reason
 
     def test_rsl_pep_permits_kate_cancel_of_nfc_job(self, ref_local, ref_vo, bo, kate):
         from gridauthz.engine import JobContext
@@ -120,14 +119,17 @@ class TestInvoke:
 class TestResultMapping:
     def test_bijection(self):
         pairs = [
-            (success(), Outcome.PERMIT),
-            (denied("nope"), Outcome.DENY),
-            (system_failure("boom"), Outcome.ERROR),
+            (permit(), CalloutOutcome.SUCCESS),
+            (deny("nope"), CalloutOutcome.DENIED),
+            (error("boom"), CalloutOutcome.SYSTEM_FAILURE),
         ]
-        for result, outcome in pairs:
-            assert decision_of(result).outcome is outcome
-        for decision in (permit(), deny("nope"), error("boom")):
-            assert decision_of(result_of(decision)) == decision
+        for decision, outcome in pairs:
+            assert CalloutResult(decision).outcome is outcome
+            assert CalloutResult(decision).decision == decision
+        # the callout layer's own decisions name it as their source
+        assert success().decision == Decision(Outcome.PERMIT, "", "CALLOUT")
+        assert denied("nope").decision == Decision(Outcome.DENY, "nope", "CALLOUT")
+        assert system_failure("boom").decision == Decision(Outcome.ERROR, "boom", "CALLOUT")
 
     def test_denied_requires_reason(self):
         with pytest.raises(ValueError):
@@ -137,7 +139,8 @@ class TestResultMapping:
 class TestCalloutArgs:
     def test_rsl_text_renders_the_description(self, bo):
         args = start_args(bo, "&(executable=test1)(jobtag=ADS)")
-        assert args.rsl_text == "&(executable = test1)(jobtag = ADS)(count = 1)"
+        assert description_to_rsl(args.description) == \
+            "&(executable = test1)(jobtag = ADS)(count = 1)"
 
     def test_initiator_required_for_management(self, bo):
         with pytest.raises(ValueError):

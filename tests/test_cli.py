@@ -64,6 +64,31 @@ class TestPolicyEval:
         assert out.startswith("DENY")
         assert "(count < 4)" in out
 
+    def test_explain_prints_the_policy_eval_response_body(self, ref_config, capsys):
+        rsl = "&(executable=test2)(directory=/sandbox/test)(jobtag=NFC)(count=5)"
+        service = Service(ServiceConfig.from_file(ref_config))
+        try:
+            assert service.handle_request(
+                f'SUBMIT dn="{KATE_DN}" '
+                f'rsl="&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)"'
+            ) == "OK job-1 PENDING"
+            start = service.handle_request(
+                f'POLICY-EVAL dn="{BO_DN}" action="start" rsl="{rsl}"')
+            cancel = service.handle_request(
+                f'POLICY-EVAL dn="{KATE_DN}" action="cancel" job="job-1"')
+        finally:
+            service.close()
+        cases = [
+            (start, ["--dn", BO_DN, "--action", "start", "--rsl", rsl]),
+            (cancel, ["--dn", KATE_DN, "--action", "cancel", "--jobowner", KATE_DN,
+                      "--jobtag", "NFC",
+                      "--rsl", "&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)"]),
+        ]
+        for response, argv in cases:
+            main(["policy", "eval", "--config", ref_config, "--explain", *argv])
+            assert capsys.readouterr().out == response.removeprefix("OK ") + "\n"
+        assert start.startswith("OK DENY") and cancel.startswith("OK PERMIT")
+
     def test_management_eval(self, ref_config, capsys):
         rc = main([
             "policy", "eval", "--config", ref_config,

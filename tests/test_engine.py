@@ -221,6 +221,36 @@ def test_indexed_evaluator_matches_linear_oracle(seed):
     assert evaluate_document(doc, req) == linear_evaluator.evaluate_document(doc, req)
 
 
+def _violated(expl):
+    return [c.ref for c in expl.matched_requirements if c.applies and not c.held]
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_authorize_names_the_document_and_statement_that_decided(seed):
+    rng = random.Random(seed)
+    local = random_document(rng, "LOCAL")
+    vo = random_document(rng, "VO")
+    req = random_request(rng)
+    (local_dec, local_expl), (vo_dec, vo_expl) = (
+        linear_evaluator.evaluate_document(doc, req) for doc in (local, vo))
+    # each document's ref: its satisfying grant, or its first violated
+    # requirement, or none when no grant was satisfied
+    for dec, expl in ((local_dec, local_expl), (vo_dec, vo_expl)):
+        if dec.is_permit:
+            assert dec.ref == expl.satisfying_grant is not None
+        else:
+            assert dec.ref == (_violated(expl) or [None])[0]
+    if not local_dec.is_permit:
+        expected = ("LOCAL-PEP", local_dec.ref)
+    elif not vo_dec.is_permit:
+        expected = ("VO-PEP", vo_dec.ref)
+    else:
+        expected = ("PEP", f"{local_dec.ref}+{vo_dec.ref}")
+    combined, _ = authorize(local, vo, req)
+    assert (combined.source, combined.ref) == expected
+
+
 def _tree_dn(rng):
     """A DN at a random depth of a small tree, key case varied."""
     parts = ["/O=Grid", f"/O=VO-{rng.randrange(3)}", f"/OU=site-{rng.randrange(5)}",
@@ -340,13 +370,16 @@ def test_compiled_equality_cases(bo, kate):
 
 class TestCombineDecisions:
     def test_both_permit(self):
-        assert combine_decisions(permit(), permit()) == permit()
+        assert combine_decisions(permit("L#0"), permit("V#1")) == \
+            Decision(Outcome.PERMIT, "", "PEP", "L#0+V#1")
 
     def test_vo_deny_prefixed(self):
-        assert combine_decisions(permit(), deny("r")) == deny("VO: r")
+        assert combine_decisions(permit("L#0"), deny("r", "V#2")) == \
+            Decision(Outcome.DENY, "VO: r", "VO-PEP", "V#2")
 
     def test_local_deny_prefixed(self):
-        assert combine_decisions(deny("r"), permit()) == deny("LOCAL: r")
+        assert combine_decisions(deny("r"), permit("V#1")) == \
+            Decision(Outcome.DENY, "LOCAL: r", "LOCAL-PEP", None)
 
     def test_error_dominates_deny(self):
         combined = combine_decisions(error("e"), deny("r"))

@@ -30,16 +30,15 @@ def make_callouts(local_doc, vo_doc, binding="gram-authz rsl-pep"):
 class TestParseGridmap:
     def test_single_entry(self):
         gm = parse_gridmap(f'"{BO_DN}" bliu\n')
-        assert len(gm.entries) == 1
-        assert gm.entries[0].account == "bliu"
-        assert gm.entries[0].identity == GridIdentity.parse(BO_DN)
+        assert len(gm.accounts) == 1
+        assert gm.accounts[GridIdentity.parse(BO_DN)] == "bliu"
 
     def test_empty_file(self):
-        assert parse_gridmap("") == Gridmap(())
+        assert parse_gridmap("") == Gridmap({})
 
     def test_comments_and_blanks_ignored(self):
         gm = parse_gridmap(f'# header\n\n"{BO_DN}" bliu\n')
-        assert len(gm.entries) == 1
+        assert len(gm.accounts) == 1
 
     def test_missing_account(self):
         with pytest.raises(GridmapSyntaxError) as e:
@@ -86,12 +85,12 @@ class TestAdmit:
     def test_gate_precedes_pep(self, ref_local, ref_vo, bo):
         audit_trail = []
 
-        def audit(source, requester, action, job_id, decision, ref):
-            audit_trail.append((source, decision.outcome))
+        def audit(requester, action, job_id, decision):
+            audit_trail.append((decision.source, decision.outcome))
 
         callouts = make_callouts(ref_local, ref_vo)
         with pytest.raises(NotAuthorized):
-            admit(Gridmap(()), callouts, bo, self.GOOD_RSL, audit=audit)
+            admit(Gridmap({}), callouts, bo, self.GOOD_RSL, audit=audit)
         assert audit_trail == [("GATE", Outcome.DENY)]
 
     def test_missing_jobtag_denied_by_requirement(self, gridmap, ref_local, ref_vo, bo):
@@ -117,8 +116,8 @@ class TestAdmit:
     def test_audit_distinguishes_all_outcomes(self, gridmap, ref_local, ref_vo, bo):
         audit_trail = []
 
-        def audit(source, requester, action, job_id, decision, ref):
-            audit_trail.append((source, decision.outcome))
+        def audit(requester, action, job_id, decision):
+            audit_trail.append((decision.source, decision.outcome))
 
         callouts = make_callouts(ref_local, ref_vo)
         admit(gridmap, callouts, bo, self.GOOD_RSL, audit=audit)

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from gridauthz.callout import (CalloutConfig, Callouts, GRAM_AUTHZ, make_builtin_registry,
-                               success)
+from gridauthz.callout import CalloutConfig, Callouts, GRAM_AUTHZ, make_builtin_registry
 from gridauthz.engine import permit
 from gridauthz.gatekeeper import AdmissionTicket, PolicyDenied, admit, parse_gridmap
 from gridauthz.jobmanager import (
@@ -343,7 +342,7 @@ def test_state_machine_safety_random_commands(ref_local, ref_vo, bo):
 def ticket(owner, rsl):
     """A permitted admission, without the gate and the callout."""
     description = apply_defaults(to_job_description(parse_rsl(rsl)))
-    return AdmissionTicket("ticket", owner, "bliu", description, permit(), success())
+    return AdmissionTicket("ticket", owner, "bliu", description, permit())
 
 
 def assert_live_set(jm):

@@ -296,7 +296,7 @@ class TestAuditLog:
             service.close()
         records = read_audit_log(tmp_path / "audit.log")
         assert [int(r["seq"]) for r in records] == list(range(1, len(records) + 1))
-        assert [r["source"] for r in records] == ["GATE", "LOCAL-PEP", "LOCAL-PEP"]
+        assert [r["source"] for r in records] == ["GATE", "PEP", "PEP"]
         assert all(r["decision"] == "PERMIT" for r in records)
 
     def test_self_rule_source(self, tmp_path):
@@ -321,6 +321,58 @@ class TestAuditLog:
         records = read_audit_log(tmp_path / "audit.log")
         assert records[-1]["source"] == "VO-PEP"
         assert records[-1]["decision"] == "DENY"
+
+    @staticmethod
+    def _last_record(tmp_path, service, *lines):
+        try:
+            responses = [service.handle_request(line) for line in lines]
+        finally:
+            service.close()
+        record = read_audit_log(tmp_path / "audit.log")[-1]
+        return responses, {k: record[k] for k in ("action", "decision", "reason", "ref", "source")}
+
+    def test_pep_permit_names_both_documents(self, tmp_path):
+        _, record = self._last_record(
+            tmp_path, make_service(tmp_path, REFERENCE, REFERENCE),
+            BO_START, f'CANCEL dn="{KATE_DN}" job="job-1"')
+        assert record == {"action": "cancel", "decision": "PERMIT", "reason": "",
+                          "ref": "LOCAL#4@L11+VO#4@L11", "source": "PEP"}
+
+    @pytest.mark.parametrize("provider, outcome, reason", [
+        ("allow-all", "PERMIT", ""),
+        ("deny-all", "DENY", "deny-all"),
+        ("akenti", "ERROR", "no provider registered as 'akenti'"),
+    ])
+    def test_callout_decisions_name_the_callout_layer(self, tmp_path, provider, outcome,
+                                                      reason):
+        _, record = self._last_record(
+            tmp_path, make_service(tmp_path, REFERENCE, REFERENCE,
+                                   callout=f"gram-authz {provider}\n"),
+            BO_START)
+        assert record == {"action": "start", "decision": outcome, "reason": reason,
+                          "ref": "-", "source": "CALLOUT"}
+
+    def test_management_deny_names_the_violated_requirement(self, tmp_path):
+        local = PERMISSIVE + "&/O=Grid:\n(action = cancel)(jobtag != NFC)\n"
+        responses, record = self._last_record(
+            tmp_path, make_service(tmp_path, local, PERMISSIVE),
+            BO_START, f'CANCEL dn="{KATE_DN}" job="job-1"')
+        assert responses[1].startswith("E-DENY")
+        assert record == {"action": "cancel", "decision": "DENY",
+                          "reason": "LOCAL: requirement violated: LOCAL#1@L4",
+                          "ref": "LOCAL#1@L4", "source": "LOCAL-PEP"}
+
+    def test_start_deny_names_only_the_denying_document(self, tmp_path):
+        # LOCAL denies for want of a grant, which names no statement; VO's
+        # violated jobtag requirement did not decide
+        local = "/O=Grid:\n&(executable = nothing)\n"
+        responses, record = self._last_record(
+            tmp_path, make_service(tmp_path, local, REFERENCE),
+            f'SUBMIT dn="{BO_DN}" rsl="&(executable=test1)(directory=/sandbox/test)"')
+        assert responses[0].startswith("E-DENY")
+        assert record == {"action": "start", "decision": "DENY",
+                          "reason": "LOCAL: no grant satisfied",
+                          "ref": "-", "source": "LOCAL-PEP"}
 
     def test_sequence_continues_across_restart(self, tmp_path):
         config = write_service_tree(tmp_path, REFERENCE, REFERENCE)
@@ -395,13 +447,13 @@ BO = f'"{BO_DN}"'
 KATE = f'"{KATE_DN}"'
 SCENARIO_AUDIT = f"""\
 seq=1 time=0 requester={BO} action=start job=- decision=PERMIT reason="" ref="bliu" source=GATE
-seq=2 time=0 requester={BO} action=start job=- decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=LOCAL-PEP
+seq=2 time=0 requester={BO} action=start job=- decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=PEP
 seq=3 time=0 requester={KATE} action=start job=- decision=PERMIT reason="" ref="kkeahey" source=GATE
-seq=4 time=0 requester={KATE} action=start job=- decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=LOCAL-PEP
+seq=4 time=0 requester={KATE} action=start job=- decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=PEP
 seq=5 time=1 requester={BO} action=signal job=job-1 decision=PERMIT reason="" ref="-" source=SELF-RULE
 seq=6 time=1 requester={BO} action=signal job=job-1 decision=PERMIT reason="" ref="-" source=SELF-RULE
 seq=7 time=2 requester={BO} action=signal job=job-1 decision=PERMIT reason="" ref="-" source=SELF-RULE
-seq=8 time=6 requester={KATE} action=cancel job=job-1 decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=LOCAL-PEP
+seq=8 time=6 requester={KATE} action=cancel job=job-1 decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=PEP
 """
 SCENARIO_EVENTS = f"""\
 seq=1 time=0 job=job-1 event=created actor={BO} owner={BO} account="bliu" jobtag="NFC" priority="0" duration="10" rsl="&(executable = test2)(directory = /sandbox/test)(jobtag = NFC)(count = 1)"
@@ -637,7 +689,7 @@ def test_torn_last_record_is_cut_at_start(tmp_path, torn):
     assert [int(r["seq"]) for r in audit] == list(range(1, len(audit) + 1))
     assert [int(e["seq"]) for e in events] == list(range(1, len(events) + 1))
     assert (events[-1]["job"], events[-1]["event"]) == ("job-3", "created")
-    assert audit[-1]["source"] == "LOCAL-PEP"
+    assert audit[-1]["source"] == "PEP"
 
 
 @pytest.mark.parametrize("torn", sorted(SCENARIO_LOGS))
