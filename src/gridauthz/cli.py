@@ -72,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dn", required=True)
     p.add_argument("--action", required=True,
                    choices=("start", "cancel", "information", "signal"))
-    p.add_argument("--rsl")
+    p.add_argument("--rsl", help=(
+        "job RSL; a management action is evaluated against it (an empty "
+        "description when omitted) and the placeholder job job-0, not a stored "
+        "job: ask a running server POLICY-EVAL job=<id> about a stored job"))
     p.add_argument("--jobowner")
     p.add_argument("--jobtag")
     p.add_argument("--signal-kind")

@@ -17,7 +17,8 @@ from .callout import CalloutArgs, Callouts, GRAM_AUTHZ
 from .engine import Decision, JobContext, MANAGEMENT_ACTIONS, Outcome
 from .gatekeeper import AdmissionTicket, PolicyDenied, require_permit
 from .policy import GridIdentity
-from .rsl import JobDescription, description_to_rsl, int_value, value_text
+from .rsl import (JobDescription, apply_defaults, description_to_rsl, int_value,
+                  parse_rsl, to_job_description, value_text)
 
 DEFAULT_DURATION = 10
 # a job owner manages their own job without a callout
@@ -98,7 +99,9 @@ class JobRecord:
     owner: GridIdentity
     account: str
     jobtag: str | None
-    description: JobDescription
+    # the parsed description, or for a job restored from the event log its
+    # logged RSL text until ``description`` is first read: one form, never both
+    spec: JobDescription | str
     state: JobState = JobState.PENDING
     priority: int = 0
     duration: int = DEFAULT_DURATION
@@ -108,6 +111,12 @@ class JobRecord:
     # scheduler accounting
     active_time: int = 0
     active_since: int | None = None
+
+    @property
+    def description(self) -> JobDescription:
+        if isinstance(self.spec, str):
+            self.spec = apply_defaults(to_job_description(parse_rsl(self.spec)))
+        return self.spec
 
     @property
     def seq(self) -> int:
@@ -246,7 +255,7 @@ class JobManager:
                 owner=self._owner(dn, ticket.requester),
                 account=ticket.account,
                 jobtag=jobtag,
-                description=ticket.description,
+                spec=ticket.description,
                 duration=duration,
             )
             self._add(record)

@@ -24,6 +24,7 @@ import socketserver
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import gatekeeper
 from .callout import (
@@ -307,26 +308,27 @@ def read_audit_log(path) -> list[dict]:
     return list(_read_log(path))
 
 
-def read_event_log(path) -> list[dict]:
-    events = list(_read_log(path))
-    for ev in events:
+def read_event_log(path) -> Iterator[dict]:
+    """The records of an event log one at a time, read as strictly as
+    ``_read_log`` reads them, with ``time`` an integer."""
+    for ev in _read_log(path):
         try:
             ev["time"] = int(ev["time"])
         except (ValueError, KeyError) as e:
             raise CorruptLog(int(ev["seq"]), f"unreadable event: {e}") from e
-    return events
+        yield ev
 
 
 _EVENT_HEADER = ("seq", "time", "job", "event", "actor")
 
 
-def replay_events(events: list[dict], jm: JobManager) -> JobManager:
+def replay_events(events: Iterable[dict], jm: JobManager) -> JobManager:
     """Rebuild the job table of ``jm`` from an event stream.
 
     Every event after ``created`` goes through ``JobManager._apply``, the
     transitions live calls make, with ``on_event`` off so nothing is logged
     twice.  An event the live state machine could not have written raises
-    CorruptLog.
+    CorruptLog.  A restored job keeps its logged RSL text (``JobRecord.spec``).
     """
     on_event, jm.on_event = jm.on_event, None
     try:
@@ -334,12 +336,15 @@ def replay_events(events: list[dict], jm: JobManager) -> JobManager:
             try:
                 job_id, kind, time, actor = ev["job"], ev["event"], ev["time"], ev["actor"]
                 if kind == "created":
+                    rsl = ev["rsl"]
+                    # parsed only to reject RSL a live SUBMIT could not have logged
+                    apply_defaults(to_job_description(parse_rsl(rsl)))
                     record = JobRecord(
                         job_id=job_id,
                         owner=jm._owner(ev["owner"]),
                         account=ev["account"],
                         jobtag=None if ev.get("jobtag", "-") == "-" else ev["jobtag"],
-                        description=apply_defaults(to_job_description(parse_rsl(ev["rsl"]))),
+                        spec=rsl,
                         priority=int(ev["priority"]),
                         duration=int(ev["duration"]),
                     )
@@ -371,15 +376,26 @@ class Service:
         self.callouts = Callouts(self.callout_config, registry)
         self.audit_log = AuditLog(config.audit_log_path)
         _cut_torn_tail(config.event_log_path)
-        events = read_event_log(config.event_log_path)
-        self.event_log = EventLog(config.event_log_path, len(events))
         self.jobmanager = JobManager(
             self.callouts,
             JobManagerConfig(slots=config.slots, self_management=config.self_management),
             audit=self._audit,
             on_event=self._on_event,
         )
-        replay_events(events, self.jobmanager)
+        replayed = 0
+
+        def counted(events):
+            nonlocal replayed
+            for replayed, ev in enumerate(events, 1):
+                yield ev
+
+        # streamed: no more than one event record is held at a time
+        try:
+            replay_events(counted(read_event_log(config.event_log_path)), self.jobmanager)
+        except BaseException:
+            self.audit_log.close()  # the caller gets no Service to close it
+            raise
+        self.event_log = EventLog(config.event_log_path, replayed)
 
     # -- loading ---------------------------------------------------------
 

@@ -5,6 +5,7 @@ import shlex
 import socket
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from gridauthz import callout, gatekeeper, jobmanager, service as service_module
 from gridauthz.callout import Callouts
 from gridauthz.jobmanager import JobManager, JobManagerConfig
 from gridauthz.policy import GridIdentity
+from gridauthz.rsl import JobDescription
 from gridauthz.service import (
     ConfigError,
     CorruptLog,
@@ -406,7 +408,7 @@ class TestLogIntegrity:
         log = tmp_path / "events.log"
         log.write_text("seq=1 time=banana job=job-1 event=created\n")
         with pytest.raises(CorruptLog):
-            read_event_log(log)
+            list(read_event_log(log))
 
     def test_unreadable_audit_line_stops_start(self, tmp_path):
         config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
@@ -425,7 +427,7 @@ class TestLogIntegrity:
     def test_empty_logs_are_fine(self, tmp_path):
         (tmp_path / "a.log").write_text("")
         assert read_audit_log(tmp_path / "a.log") == []
-        assert read_event_log(tmp_path / "a.log") == []
+        assert list(read_event_log(tmp_path / "a.log")) == []
 
 
 def drive_scenario(service):
@@ -505,6 +507,16 @@ class TestReplay:
         with pytest.raises(CorruptLog) as e:
             replay_events(_events(*kinds), jm)
         assert e.value.sequence == len(kinds)
+
+    @pytest.mark.parametrize("rsl", ["&(broken", "&(count<3)", "&(executable=NULL)"])
+    def test_replay_rejects_a_created_rsl_live_calls_cannot_write(self, tmp_path, rsl):
+        # the live machine logs only RSL it parsed into an equality description
+        config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+        logged = re.findall(r'rsl="[^"]*"', SCENARIO_EVENTS)[1]  # job-2, sequence 2
+        corrupt = SCENARIO_EVENTS.replace(logged, f"rsl={_q(rsl)}").encode()
+        with pytest.raises(CorruptLog) as e:
+            _start_over(tmp_path, config, "events.log", corrupt)
+        assert e.value.sequence == 2
 
     def test_replay_reconstructs_job_table(self, tmp_path):
         service = make_service(tmp_path, PERMISSIVE, PERMISSIVE)
@@ -685,7 +697,7 @@ def test_torn_last_record_is_cut_at_start(tmp_path, torn):
     finally:
         service.close()
     audit = read_audit_log(tmp_path / "audit.log")
-    events = read_event_log(tmp_path / "events.log")
+    events = list(read_event_log(tmp_path / "events.log"))
     assert [int(r["seq"]) for r in audit] == list(range(1, len(audit) + 1))
     assert [int(e["seq"]) for e in events] == list(range(1, len(events) + 1))
     assert (events[-1]["job"], events[-1]["event"]) == ("job-3", "created")
@@ -704,6 +716,91 @@ def test_unreadable_whole_line_still_stops_start(tmp_path, torn, where):
         _start_over(tmp_path, config, torn, corrupt)
     assert e.value.sequence == k + 1
     assert (tmp_path / torn).read_bytes() == corrupt
+
+
+def _drive_restart_mix(service, rng, requests):
+    """A seeded mix of SUBMITs by Bo and Kate, TICKs, owner CANCELs and
+    third-party SIGNALs and STATUSes; returns each admitted job's owner."""
+    owners, now = {}, 0
+    for _ in range(requests):
+        r = rng.random()
+        if r < 0.35 or not owners:
+            dn = rng.choice((BO_DN, KATE_DN))
+            if dn == BO_DN:
+                exe, tag = rng.choice((("test1", "ADS"), ("test2", "NFC")))
+            else:
+                exe, tag = "TRANSP", "NFC"
+            rsl = (f"&(executable={exe})(directory=/sandbox/test)(jobtag={tag})"
+                   f"(count={rng.randint(1, 4)})(maxtime={rng.randint(1, 5)})")
+            resp = service.handle_request(f"SUBMIT dn={_q(dn)} rsl={_q(rsl)}")
+            if resp.startswith("OK "):
+                owners[resp.split()[1]] = dn
+        elif r < 0.55:
+            now += rng.randint(0, 3)
+            service.handle_request(f'TICK now="{now}"')
+        else:
+            job = rng.choice(list(owners))
+            other = BO_DN if owners[job] == KATE_DN else KATE_DN
+            if r < 0.65:
+                service.handle_request(f'CANCEL dn={_q(owners[job])} job="{job}"')
+            elif r < 0.85:
+                kind = rng.choice(("suspend", "resume", "priority"))
+                value = f' value="{rng.randint(0, 5)}"' if kind == "priority" else ""
+                service.handle_request(
+                    f'SIGNAL dn={_q(other)} job="{job}" kind="{kind}"{value}')
+            else:
+                service.handle_request(f'STATUS dn={_q(other)} job="{job}"')
+    return owners
+
+
+def test_answers_after_a_restart_match_live_answers(tmp_path):
+    live_dir, restart_dir = tmp_path / "live", tmp_path / "restart"
+    live_dir.mkdir()
+    restart_dir.mkdir()
+    live = make_service(live_dir, REF_EXTENDED, REF_EXTENDED)
+    try:
+        owners = _drive_restart_mix(live, random.Random(15), 300)
+        config = write_service_tree(restart_dir, REF_EXTENDED, REF_EXTENDED)
+        for name in ("audit.log", "events.log"):
+            (restart_dir / name).write_bytes((live_dir / name).read_bytes())
+        restarted = Service(ServiceConfig.from_file(config))
+        try:
+            finished = [r for r in restarted.jobmanager.jobs.values()
+                        if r.state in jobmanager.TERMINAL_STATES]
+            assert len(finished) > 20
+            # restored jobs hold their logged RSL; jobs finished live their description
+            assert all(isinstance(r.spec, str) for r in finished)
+            assert all(isinstance(r.spec, JobDescription)
+                       for r in live.jobmanager.jobs.values())
+            for job, owner in owners.items():
+                other = _q(BO_DN if owner == KATE_DN else KATE_DN)
+                for request in (
+                        f'POLICY-EVAL dn={other} action="cancel" job="{job}"',
+                        f'POLICY-EVAL dn={other} action="information" job="{job}"',
+                        f'POLICY-EVAL dn={other} action="signal" job="{job}" signal="suspend"',
+                        f'STATUS dn={other} job="{job}"'):
+                    assert restarted.handle_request(request) == live.handle_request(request)
+            assert restarted.jobmanager.snapshot() == live.jobmanager.snapshot()
+        finally:
+            restarted.close()
+    finally:
+        live.close()
+
+
+def test_restart_peak_memory_is_what_the_table_keeps(tmp_path):
+    # the event log is replayed one record at a time, never held whole
+    config = write_service_tree(tmp_path, REF_EXTENDED, REF_EXTENDED)
+    _perfbench_gen().write_restart_log(
+        random.Random(1), tmp_path / "audit.log", tmp_path / "events.log", 1000)
+    tracemalloc.start()
+    try:
+        service = Service(ServiceConfig.from_file(config))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    service.close()
+    assert len(service.jobmanager.jobs) == 1000
+    assert peak <= 1.2 * retained, (peak, retained)
 
 
 @pytest.mark.parametrize("separator", ["\r", "\x0c", "\x1e", "\x85", "\u2028"])
