@@ -8,12 +8,10 @@ job manager with policy-mediated lifecycle control.
 from .engine import (
     AuthorizationRequest,
     Decision,
-    Explanation,
     JobContext,
     Outcome,
     authorize,
     combine_decisions,
-    evaluate_assertion,
     evaluate_document,
 )
 from .policy import (
@@ -40,7 +38,6 @@ from .rsl import (
 __all__ = [
     "AuthorizationRequest",
     "Decision",
-    "Explanation",
     "GridIdentity",
     "JobContext",
     "JobDescription",
@@ -55,7 +52,6 @@ __all__ = [
     "apply_defaults",
     "authorize",
     "combine_decisions",
-    "evaluate_assertion",
     "evaluate_document",
     "lint_policy",
     "parse_policy",

@@ -186,9 +186,9 @@ def cmd_policy_eval(args) -> int:
             requester, args.action, description,
             JobContext("job-0", GridIdentity.parse(args.jobowner),
                        args.jobtag, args.signal_kind))
-    decision, explanations = authorize(local_doc, vo_doc, req)
+    decision, facts = authorize(local_doc, vo_doc, req)
     if args.explain:
-        print(explain(decision, explanations))
+        print(explain(decision, facts))
     else:
         print(f"{decision.outcome.value} {decision.reason}".strip())
     return 0 if decision.is_permit else 1

@@ -5,10 +5,14 @@ statement holds and at least one GRANT statement is fully satisfied.
 Within one rule, multiple '=' assertions on the same attribute form a
 disjunctive value set; every other assertion conjoins.
 
-Decisions run each statement's compiled checks (``_compile_statement``)
-against the request's attribute values, each resolved once per request.
-``evaluate_assertion`` is the reference truth function the compiled checks
-are tested against; nothing on the decision path calls it.
+One decision walks a plan: the compiled entries (``_compile_statement``)
+of the requester's statements in document order, built on the requester's
+first decision and kept in the document (``_plan``).  It runs their checks
+against the request's attribute values, each resolved once per request,
+stops at the first violated requirement, and returns the decision with the
+one fact ``service.explain`` prints, nothing more.  The reference truth
+function the compiled checks are tested against, and the evaluator that
+records every check, live in ``tests/linear_evaluator.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .policy import GridIdentity, PolicyDocument, PolicyStatement, StatementKind
+from .policy import MEMO_LIMIT, GridIdentity, PolicyDocument, PolicyStatement, StatementKind
 from .rsl import (
     NULL,
     Relation,
@@ -92,26 +96,6 @@ class AuthorizationRequest:
             raise ValueError(f"{self.action} requests need a job context")
 
 
-class RequirementCheck(NamedTuple):
-    ref: str
-    applies: bool
-    held: bool
-    failing: RslAssertion | None = None
-
-
-class GrantCheck(NamedTuple):
-    ref: str
-    satisfied: bool
-    failing: RslAssertion | None = None
-
-
-@dataclass(frozen=True)
-class Explanation:
-    matched_requirements: tuple[RequirementCheck, ...] = ()
-    matched_grants: tuple[GrantCheck, ...] = ()
-    satisfying_grant: str | None = None
-
-
 def _resolve(attribute: str, req: AuthorizationRequest):
     """Values an assertion's attribute takes for this request, or None."""
     jc = req.job_context
@@ -132,54 +116,6 @@ def _resolve(attribute: str, req: AuthorizationRequest):
             return (Text(jc.signal_kind),)
         return None
     return req.description.get(attribute)
-
-
-def _nonempty(value) -> bool:
-    return value_text(value) != ""
-
-
-def _values_equal(a, b) -> bool:
-    na, nb = int_value(a), int_value(b)
-    if na is not None and nb is not None:
-        return na == nb
-    return value_text(a) == value_text(b)
-
-
-_ORDER_OPS = {
-    Relation.LT: lambda a, b: a < b,
-    Relation.GT: lambda a, b: a > b,
-    Relation.LE: lambda a, b: a <= b,
-    Relation.GE: lambda a, b: a >= b,
-}
-
-
-def evaluate_assertion(a: RslAssertion, req: AuthorizationRequest) -> bool:
-    """Total truth function for one assertion against one request: the
-    reference the compiled checks of ``_first_failing`` must agree with."""
-    values = _resolve(a.attribute, req)
-    if a.value is NULL:
-        present = values is not None and any(_nonempty(v) for v in values)
-        if a.relation is Relation.EQ:
-            return not present
-        if a.relation is Relation.NEQ:
-            return present
-        return False  # unreachable: ordering on NULL is rejected at parse
-    literal = Text(req.requester.render()) if a.value is SELF else a.value
-    if a.relation is Relation.EQ:
-        return values is not None and any(_values_equal(v, literal) for v in values)
-    if a.relation is Relation.NEQ:
-        if values is None:
-            return True
-        return all(not _values_equal(v, literal) for v in values)
-    bound = int_value(literal)
-    if bound is None or values is None or not values:
-        return False
-    op = _ORDER_OPS[a.relation]
-    for v in values:
-        n = int_value(v)
-        if n is None or not op(n, bound):
-            return False
-    return True
 
 
 def _statement_ref(doc: PolicyDocument, index: int, st: PolicyStatement) -> str:
@@ -205,10 +141,10 @@ def _equality_key(value) -> int | str:
 
     Two values are equal in a rule when both have integer content and the
     integers are equal ("007" = 7 = "+7"), or when either has none and the
-    texts are equal (``_values_equal``).  Text without integer content never
-    equals the text of a value with some, so that is exactly when their keys
-    are equal: an int key never equals a str key.  A rendered DN starts with
-    '/' (or is empty), so its key is its text.
+    texts are equal.  Text without integer content never equals the text of
+    a value with some, so that is exactly when their keys are equal: an int
+    key never equals a str key.  A rendered DN starts with '/' (or is
+    empty), so its key is its text.
     """
     n = int_value(value)
     return value_text(value) if n is None else n
@@ -328,45 +264,50 @@ def _first_failing(checks, req: AuthorizationRequest):
     return None
 
 
-def evaluate_document(doc: PolicyDocument, req: AuthorizationRequest):
-    """Evaluate one request against one document.  Default deny."""
-    matched = doc.statements_for(req.requester)
-    if not matched:
-        return deny("no applicable statements"), Explanation()
-
-    requirement_checks = []
-    grant_checks = []
-    failed_requirement = None
-    satisfying = None
+def _plan(doc: PolicyDocument, requester: GridIdentity) -> tuple[tuple, ...]:
+    """The compiled entries of the requester's statements, in document order,
+    kept in the document's plan memo under the requester's key.  The memo is
+    emptied when it reaches ``MEMO_LIMIT``: requests may name any DN."""
+    plans = doc.plans
+    if len(plans) >= MEMO_LIMIT:
+        plans.clear()
     compiled = doc.compiled
-    for i, st in matched:
-        ref, requirement, action_checks, checks = (
-            compiled.get(i) or _compile_statement(doc, i, st))
-        if requirement:
-            if _first_failing(action_checks, req) is not None:
-                requirement_checks.append(RequirementCheck(ref, False, True))
-                continue
-            failing = _first_failing(checks, req)
-            requirement_checks.append(RequirementCheck(ref, True, failing is None, failing))
-            if failing is not None and failed_requirement is None:
-                failed_requirement = ref
-        else:
-            failing = _first_failing(checks, req)
-            grant_checks.append(GrantCheck(ref, failing is None, failing))
-            if failing is None and satisfying is None:
-                satisfying = ref
+    plan = plans[requester.key()] = tuple(
+        compiled.get(i) or _compile_statement(doc, i, st)
+        for i, st in doc.statements_for(requester))
+    return plan
 
-    if failed_requirement is not None:
-        decision = deny(f"requirement violated: {failed_requirement}", failed_requirement)
-        satisfying = None
-    elif satisfying is not None:
-        decision = permit(satisfying)
-    else:
-        decision = deny("no grant satisfied")
-    explanation = Explanation(
-        tuple(requirement_checks), tuple(grant_checks), satisfying
-    )
-    return decision, explanation
+
+def evaluate_document(doc: PolicyDocument, req: AuthorizationRequest):
+    """Evaluate one request against one document.  Default deny.
+
+    Returns the decision and what ``service.explain`` prints of it:
+    ``(what, ref, failing assertion or None)`` naming the satisfying grant,
+    the first violated requirement or else the first failing grant, or None
+    when no statement says anything.
+    """
+    plan = doc.plans.get(req.requester.key())
+    if plan is None:
+        plan = _plan(doc, req.requester)
+    if not plan:
+        return deny("no applicable statements"), None
+    satisfying = failed_grant = None
+    for ref, requirement, action_checks, checks in plan:
+        if requirement:
+            if _first_failing(action_checks, req) is None:
+                failing = _first_failing(checks, req)
+                if failing is not None:
+                    return (deny(f"requirement violated: {ref}", ref),
+                            ("requirement", ref, failing))
+        elif satisfying is None:
+            failing = _first_failing(checks, req)
+            if failing is None:
+                satisfying = ref
+            elif failed_grant is None:
+                failed_grant = ("grant", ref, failing)
+    if satisfying is not None:
+        return permit(satisfying), ("grant", satisfying, None)
+    return deny("no grant satisfied"), failed_grant
 
 
 def combine_decisions(local: Decision, vo: Decision) -> Decision:
@@ -386,7 +327,8 @@ def combine_decisions(local: Decision, vo: Decision) -> Decision:
 
 
 def authorize(local_doc: PolicyDocument, vo_doc: PolicyDocument, req: AuthorizationRequest):
-    """Evaluate against both documents and combine; returns both explanations."""
-    local_decision, local_expl = evaluate_document(local_doc, req)
-    vo_decision, vo_expl = evaluate_document(vo_doc, req)
-    return combine_decisions(local_decision, vo_decision), (local_expl, vo_expl)
+    """Evaluate against both documents and combine; returns what each
+    document's evaluation names for ``service.explain``."""
+    local_decision, local_fact = evaluate_document(local_doc, req)
+    vo_decision, vo_fact = evaluate_document(vo_doc, req)
+    return combine_decisions(local_decision, vo_decision), (local_fact, vo_fact)

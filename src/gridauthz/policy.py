@@ -35,6 +35,12 @@ from .rsl import (
 )
 
 
+# entries each memo keeps before it is emptied: the parsed identities by DN
+# text, and each document's plans by requester.  Requests may name any DN,
+# so neither may grow with the DNs seen; a VO's active members fit.
+MEMO_LIMIT = 1024
+
+
 class PolicyError(ValueError):
     """Base class for policy and identity parse errors."""
 
@@ -94,6 +100,12 @@ class GridIdentity:
 
     @classmethod
     def parse(cls, text: str) -> "GridIdentity":
+        """The identity a DN names.  Parsed identities are kept by text, up
+        to ``MEMO_LIMIT`` of them: an identity is immutable, so requests that
+        name one DN share one object, and its key and text are built once."""
+        identity = _IDENTITIES.get(text)
+        if identity is not None:
+            return identity
         t = text.strip()
         if not t.startswith("/"):
             raise IdentitySyntaxError(f"identity must start with '/': {text!r}")
@@ -108,7 +120,13 @@ class GridIdentity:
             components.append((k, v.strip()))
         if not components:
             raise IdentitySyntaxError("identity has no components")
-        return cls(tuple(components))
+        if len(_IDENTITIES) >= MEMO_LIMIT:
+            _IDENTITIES.clear()
+        identity = _IDENTITIES[text] = cls(tuple(components))
+        return identity
+
+
+_IDENTITIES: dict[str, GridIdentity] = {}
 
 
 @dataclass(frozen=True)
@@ -150,9 +168,12 @@ class PolicyDocument:
     label: str = ""
     # statement indices by subject key, each list ascending
     by_subject: dict[str, list[int]] = field(init=False, repr=False, compare=False)
-    # by statement index, the compiled form of each statement read so far:
-    # filled by the engine, so a reloaded document starts empty
+    # by statement index, the compiled form of each statement read so far,
+    # and by requester key, the compiled forms of that requester's
+    # statements (a plan): both filled by the engine, so a reloaded
+    # document starts empty
     compiled: dict[int, tuple] = field(init=False, repr=False, compare=False)
+    plans: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[str, list[int]] = {}
@@ -160,6 +181,7 @@ class PolicyDocument:
             index.setdefault(st.subject.prefix.key(), []).append(i)
         object.__setattr__(self, "by_subject", index)
         object.__setattr__(self, "compiled", {})
+        object.__setattr__(self, "plans", {})
 
     def statements_for(self, identity: GridIdentity) -> list[tuple[int, PolicyStatement]]:
         """(index, statement) of every statement whose subject matches, in

@@ -162,6 +162,20 @@ _ESCAPE = re.compile(r'\\([\\"])')
 _TOKEN = re.compile(r"[^ \t\r\n]*")
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(raw: str, what: str) -> int:
+    """A protocol integer: ASCII digits after an optional '-', nothing else
+    (``int()`` alone would also take blanks, '+', '_' and other digits)."""
+    try:
+        if _INTEGER.fullmatch(raw):
+            return int(raw)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ProtocolError(f"{what} must be an integer, got {raw!r}")
+
+
 def _parse_kv_line(line: str) -> dict[str, str]:
     r"""Read the fields that ``_q`` and the log renderers write.
 
@@ -287,14 +301,16 @@ def _read_log(path):
     if not path.exists():
         return
     expected = 1
-    # records end at "\n" only: a quoted value may hold "\r", "\x85" or
-    # "\u2028", which universal newlines and str.splitlines() split on
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    # records end at b"\n" only: a quoted value may hold "\r", "\x85" or
+    # "\u2028", which universal newlines and str.splitlines() split on; a
+    # record that is not UTF-8 is unreadable at its sequence
+    with open(path, "rb") as fh:
         for raw in fh:
-            if not raw.strip():
-                continue
             try:
-                fields = _parse_kv_line(raw)
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                fields = _parse_kv_line(line)
                 seq = int(fields["seq"])
             except (ValueError, KeyError) as e:
                 raise CorruptLog(expected, f"unreadable record: {e}") from e
@@ -499,11 +515,7 @@ class Service:
         dn, job_id, kind = self._need(fields, "dn", "job", "kind")
         value = None
         if kind == "priority":
-            (raw,) = self._need(fields, "value")
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ProtocolError(f"priority value must be an integer, got {raw!r}")
+            value = _integer(*self._need(fields, "value"), "priority value")
         elif kind not in ("suspend", "resume"):
             raise ProtocolError(f"unknown signal kind {kind!r}")
         record = self.jobmanager.signal(job_id, GridIdentity.parse(dn), kind, value)
@@ -555,11 +567,7 @@ class Service:
         return "OK " + explain(*authorize(*self._policies, req))
 
     def _cmd_tick(self, fields):
-        (raw,) = self._need(fields, "now")
-        try:
-            now = int(raw)
-        except ValueError:
-            raise ProtocolError(f"tick time must be an integer, got {raw!r}")
+        now = _integer(*self._need(fields, "now"), "tick time")
         changes = self.jobmanager.tick(now)
         body = " ".join(f"{job_id}:{state}" for job_id, state in changes)
         return f"OK time={now} {body}".rstrip()
@@ -608,29 +616,26 @@ class Service:
             server.shutdown()
 
 
-def explain(decision: Decision, explanations) -> str:
+def explain(decision: Decision, facts) -> str:
     """An ``authorize`` result as one line: the combined decision and what
     each document made of the request.  The body of a POLICY-EVAL response
     and the output of ``policy eval --explain``."""
-    local_expl, vo_expl = explanations
+    local_fact, vo_fact = facts
     return (
         f"{decision.outcome.value} reason={_q(decision.reason)} "
-        f"local={_q(_explain_summary(local_expl))} "
-        f"vo={_q(_explain_summary(vo_expl))}"
+        f"local={_q(_explain_summary(local_fact))} "
+        f"vo={_q(_explain_summary(vo_fact))}"
     )
 
 
-def _explain_summary(expl) -> str:
-    if expl.satisfying_grant:
-        return f"grant {expl.satisfying_grant}"
-    for check in expl.matched_requirements:
-        if check.applies and not check.held:
-            failing = check.failing.render() if check.failing else "?"
-            return f"requirement {check.ref} failed at {failing}"
-    for check in expl.matched_grants:
-        if not check.satisfied and check.failing is not None:
-            return f"grant {check.ref} failed at {check.failing.render()}"
-    return "no applicable statements"
+def _explain_summary(fact) -> str:
+    """One document's part of the line: the grant that satisfied it, the
+    requirement that failed or else the first failing grant, each with the
+    assertion it failed at; or that no statement applied."""
+    if fact is None:
+        return "no applicable statements"
+    what, ref, failing = fact
+    return f"{what} {ref}" if failing is None else f"{what} {ref} failed at {failing.render()}"
 
 
 def _read(path: Path) -> str:

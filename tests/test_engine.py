@@ -15,7 +15,6 @@ from gridauthz.engine import (
     combine_decisions,
     deny,
     error,
-    evaluate_assertion,
     evaluate_document,
     permit,
 )
@@ -41,6 +40,8 @@ from gridauthz.rsl import (
 )
 
 import linear_evaluator
+from gridauthz.service import _explain_summary
+from linear_evaluator import evaluate_assertion
 from conftest import (
     BO_DN,
     KATE_DN,
@@ -130,9 +131,9 @@ class TestEvaluateDocument:
     def test_bo_permit_via_first_grant(self, ref_vo, bo):
         req = start_request(
             bo, "&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(count=2)")
-        decision, explanation = evaluate_document(ref_vo, req)
+        decision, fact = evaluate_document(ref_vo, req)
         assert decision.is_permit
-        assert explanation.satisfying_grant is not None
+        assert decision.ref is not None and fact == ("grant", decision.ref, None)
 
     def test_bo_denied_unlisted_executable(self, ref_vo, bo):
         req = start_request(
@@ -148,9 +149,9 @@ class TestEvaluateDocument:
 
     def test_empty_document_default_deny(self, bo):
         req = start_request(bo, "&(executable=test1)")
-        decision, explanation = evaluate_document(empty_document(), req)
+        decision, fact = evaluate_document(empty_document(), req)
         assert decision == deny("no applicable statements")
-        assert explanation.satisfying_grant is None
+        assert fact is None
 
     def test_requirement_scoped_by_action(self, ref_vo, bo, kate):
         # the start requirement must not block Kate's cancel
@@ -212,13 +213,23 @@ def test_grant_monotonicity(seed):
         assert not after.is_permit
 
 
+def assert_matches_linear_oracle(doc, req):
+    """The engine's decision (outcome, reason, source, ref) and its part of
+    the explain line equal those of the oracle, which records every check."""
+    decision, fact = evaluate_document(doc, req)
+    expected, explanation = linear_evaluator.evaluate_document(doc, req)
+    assert decision == expected
+    assert _explain_summary(fact) == linear_evaluator.explain_summary(explanation)
+
+
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=1_000_000))
 def test_indexed_evaluator_matches_linear_oracle(seed):
     rng = random.Random(seed)
     doc = random_document(rng)
     req = random_request(rng)
-    assert evaluate_document(doc, req) == linear_evaluator.evaluate_document(doc, req)
+    assert_matches_linear_oracle(doc, req)
+    assert_matches_linear_oracle(doc, req)  # again, from the requester's plan
 
 
 def _violated(expl):
@@ -284,7 +295,7 @@ def test_indexed_evaluator_matches_linear_oracle_on_large_documents(seed):
     for _ in range(60):
         dn = STRANGER_DN if rng.random() < 0.05 else _tree_dn(rng)
         req = dataclasses.replace(random_request(rng), requester=GridIdentity.parse(dn))
-        assert evaluate_document(doc, req) == linear_evaluator.evaluate_document(doc, req)
+        assert_matches_linear_oracle(doc, req)
 
 
 # -- compiled checks against the reference truth function --------------------
@@ -419,9 +430,12 @@ class TestAuthorize:
     def test_count_limit_cited_in_explanations(self, ref_local, ref_vo, bo):
         req = start_request(
             bo, "&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(count=5)")
-        decision, (local_expl, vo_expl) = authorize(ref_local, ref_vo, req)
+        decision, facts = authorize(ref_local, ref_vo, req)
         assert decision.outcome is Outcome.DENY
-        for expl in (local_expl, vo_expl):
+        for doc, fact in zip((ref_local, ref_vo), facts):
+            _, expl = linear_evaluator.evaluate_document(doc, req)
             failings = [c.failing.render() for c in expl.matched_grants
                         if c.failing is not None]
             assert "(count < 4)" in failings
+            assert _explain_summary(fact).endswith("failed at (count < 4)")
+            assert _explain_summary(fact) == linear_evaluator.explain_summary(expl)

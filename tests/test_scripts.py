@@ -2,7 +2,8 @@
 
 ``decision_matrix.txt`` is the matrix printed for ``fixtures/reference.policy``
 when rules were still evaluated assertion by assertion through
-``evaluate_assertion``; the compiled checks must print it byte for byte.
+``evaluate_assertion`` (now in ``tests/linear_evaluator.py``); the compiled
+checks must print it byte for byte.
 """
 
 import os
@@ -25,3 +26,10 @@ def test_decision_matrix_is_pinned():
     expected = (Path(__file__).parent / "decision_matrix.txt").read_bytes()
     assert len(expected.splitlines()) == 270
     assert run.stdout == expected
+
+
+def test_authorize_probe_runs():
+    # a smoke test: the timing it prints depends on the host and is not checked
+    run = _run("authorize_probe.py")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(b"authorize: ")

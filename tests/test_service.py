@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridauthz import callout, gatekeeper, jobmanager, service as service_module
+from gridauthz import callout, gatekeeper, jobmanager, policy, service as service_module
 from gridauthz.callout import Callouts
 from gridauthz.jobmanager import JobManager, JobManagerConfig
 from gridauthz.policy import GridIdentity
@@ -177,6 +177,19 @@ class TestProtocol:
             f'SIGNAL dn="{BO_DN}" job="job-1" kind="priority" value="high"')
         assert resp.startswith("E-SYNTAX")
 
+    # int() alone reads "1_0" as 10, and takes blanks, a '+' and non-ASCII digits
+    @pytest.mark.parametrize("raw", ["1_0", " 7", "7 ", "+7", "\u0663", "0x7", "7.0",
+                                     "1e3", "--7", "-", "", "1" * 5000])
+    def test_protocol_integers_are_ascii_digits_only(self, svc, raw):
+        svc.handle_request(BO_START)
+        for line in (f'TICK now="{raw}"',
+                     f'SIGNAL dn="{BO_DN}" job="job-1" kind="priority" value="{raw}"'):
+            assert svc.handle_request(line).startswith("E-SYNTAX ")
+        assert svc.handle_request('TICK now="10"') == "OK time=10 job-1:ACTIVE"
+        assert svc.handle_request(
+            f'SIGNAL dn="{BO_DN}" job="job-1" kind="priority" value="-3"') == \
+            "OK job-1 PRIORITY -3"
+
     def test_status(self, svc):
         svc.handle_request(BO_START)
         resp = svc.handle_request(f'STATUS dn="{BO_DN}" job="job-1"')
@@ -266,10 +279,12 @@ class TestReload:
 
             assert evaluate(BO_DN).startswith("OK PERMIT")
             old_vo = service.policies[1]
+            assert GridIdentity.parse(BO_DN).key() in old_vo.plans
             (tmp_path / "vo.policy").write_text(only_kate)
             assert service.handle_request("RELOAD") == "OK reloaded"
             new_vo = service.policies[1]
             assert new_vo.by_subject is not old_vo.by_subject
+            assert new_vo.plans == {}  # Bo's plan was the old document's
             assert list(new_vo.by_subject) == [GridIdentity.parse(KATE_DN).key()]
             assert evaluate(BO_DN).startswith(
                 'OK DENY reason="VO: no applicable statements"')
@@ -286,6 +301,45 @@ class TestReload:
             assert service.handle_request(BO_START) == "OK job-1 PENDING"
         finally:
             service.close()
+
+
+class TestMemos:
+    """The parsed-DN memo and each document's plan memo stay within
+    ``policy.MEMO_LIMIT`` whatever DNs clients send, and what they keep
+    answers exactly as a fresh parse and a fresh plan do."""
+
+    def test_memos_stay_bounded_over_many_distinct_dns(self, svc):
+        assert svc.handle_request(BO_START) == "OK job-1 PENDING"
+        limit = policy.MEMO_LIMIT
+        seen = 0
+        for template in ('STATUS dn="{}" job="job-1"', 'LIST owner="{}"',
+                         'POLICY-EVAL dn="{}" action="start" rsl="&(executable=x)"'):
+            for i in range(limit + 10):
+                line = template.format(f"/O=Grid/OU={template[:4]}/CN=member-{i}")
+                assert svc.handle_request(line).startswith("OK")
+                assert len(policy._IDENTITIES) <= limit
+                assert all(len(doc.plans) <= limit for doc in svc.policies)
+                seen = max(seen, *(len(doc.plans) for doc in svc.policies))
+        assert seen == limit  # the plans were kept, up to the limit
+
+    def test_a_shared_identity_answers_as_a_fresh_one(self, svc):
+        dn = "/O=Grid/ou=Shared/CN= Bo Liu "
+        assert svc.handle_request(f'SUBMIT dn="{BO_DN}" rsl="&(executable=x)"').startswith("OK")
+        requests = [f'POLICY-EVAL dn="{dn}" action="start" rsl="&(executable=x)"',
+                    f'STATUS dn="{dn}" job="job-1"', f'LIST owner="{BO_DN}"',
+                    f'POLICY-EVAL dn="{dn}" action="cancel" job="job-1"']
+        shared = [svc.handle_request(line) for line in requests]
+        cached = GridIdentity.parse(dn)
+        assert GridIdentity.parse(dn) is cached
+        policy._IDENTITIES.clear()
+        for doc in svc.policies:
+            doc.plans.clear()
+        fresh = GridIdentity.parse(dn)
+        assert fresh is not cached
+        assert fresh == cached and hash(fresh) == hash(cached)
+        assert (fresh.components, fresh.key(), fresh.render(), repr(fresh)) == \
+            (cached.components, cached.key(), cached.render(), repr(cached))
+        assert [svc.handle_request(line) for line in requests] == shared
 
 
 class TestAuditLog:
@@ -420,6 +474,21 @@ class TestLogIntegrity:
         lines = audit.read_text().splitlines(keepends=True)
         lines[1] = 'seq=2 requester="unterminated\n'
         audit.write_text("".join(lines))
+        with pytest.raises(CorruptLog) as e:
+            Service(ServiceConfig.from_file(config))
+        assert e.value.sequence == 2
+
+    @pytest.mark.parametrize("name", ["audit.log", "events.log"])
+    def test_non_utf8_record_stops_start_at_its_sequence(self, tmp_path, name):
+        config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+        first = Service(ServiceConfig.from_file(config))
+        first.handle_request(BO_START)
+        first.handle_request(BO_START)
+        first.close()
+        log = tmp_path / name
+        lines = log.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"', b'"\xff', 1)
+        log.write_bytes(b"".join(lines))
         with pytest.raises(CorruptLog) as e:
             Service(ServiceConfig.from_file(config))
         assert e.value.sequence == 2
