@@ -151,12 +151,24 @@ def _q(text: str) -> str:
 # then a blank (" \t\r\n" only, as a POSIX shell splits) or the end.
 # From the first character that does not fit, the rest of the line falls
 # to the last group, so findall covers the whole line and skips nothing.
-_FIELD = re.compile(r"""
-    [ \t\r\n]*
-    (?: ([^ \t\r\n="'\\]+) =
-        (?: "([^"\\]*(?:\\.[^"\\]*)*)" | ([^ \t\r\n"'\\]*) )
-        (?=[ \t\r\n]|\Z)
+_BLANK = r"[ \t\r\n]"
+_KEY = r"""[^ \t\r\n="'\\]+"""
+_QUOTED = r'[^"\\]*(?:\\.[^"\\]*)*'  # between the quotes
+_BARE = r"""[^ \t\r\n"'\\]*"""
+_FIELD = re.compile(rf"""
+    {_BLANK}*
+    (?: ({_KEY}) = (?: "({_QUOTED})" | ({_BARE}) ) (?={_BLANK}|\Z)
       | ([^ \t\r\n].*) )
+""", re.S | re.X)
+# A whole record of such fields, matched at once where only its sequence
+# number is wanted.  ``seq`` is the raw value of its last seq= field, the
+# one the dict of _parse_kv_line keeps.
+_RECORD = re.compile(rf"""
+    (?: {_BLANK}*
+        (?: seq = (?P<seq> "{_QUOTED}" | {_BARE} )
+          | (?!seq=) {_KEY} = (?: "{_QUOTED}" | {_BARE} ) )
+        (?={_BLANK}|\Z) )*
+    {_BLANK}*
 """, re.S | re.X)
 _ESCAPE = re.compile(r'\\([\\"])')
 _TOKEN = re.compile(r"[^ \t\r\n]*")
@@ -253,7 +265,7 @@ class AuditLog(_SequencedLog):
     def __init__(self, path: Path):
         _cut_torn_tail(path)
         # counted, not kept: nothing reads an audit record back at start
-        super().__init__(path, sum(1 for _ in _read_log(path)))
+        super().__init__(path, sum(1 for _ in _read_log(path, _sequence_only)))
 
     def record(self, timestamp, requester, action, job_id, decision: Decision,
                ref, source) -> AuditRecord:
@@ -290,12 +302,30 @@ class EventLog(_SequencedLog):
         self._write(" ".join(parts))
 
 
-def _read_log(path):
+def _fields(line: str) -> tuple[dict[str, str], str]:
+    fields = _parse_kv_line(line)
+    return fields, fields["seq"]
+
+
+def _sequence_only(line: str) -> tuple[None, str]:
+    """What ``_fields`` accepts, without building the fields."""
+    match = _RECORD.fullmatch(line)
+    if match is None:
+        raise ValueError("malformed record")
+    seq = match["seq"]
+    if seq is None:
+        raise KeyError("seq")
+    # a quoted integer holds no escape: unquoting is all _ESCAPE would do
+    return None, seq[1:-1] if seq.startswith('"') else seq
+
+
+def _read_log(path, read=_fields):
     """Parse a sequenced log strictly, one record at a time; a missing file
     is an empty log.
 
     Every non-blank line must parse and carry the next sequence number,
     otherwise CorruptLog names the first sequence that is not there.
+    ``read`` turns a line into (record, raw seq); the record is yielded.
     """
     path = Path(path)
     if not path.exists():
@@ -310,14 +340,14 @@ def _read_log(path):
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                fields = _parse_kv_line(line)
-                seq = int(fields["seq"])
+                record, seq = read(line)
+                seq = _integer(seq, "seq")
             except (ValueError, KeyError) as e:
                 raise CorruptLog(expected, f"unreadable record: {e}") from e
             if seq != expected:
                 raise CorruptLog(expected, f"sequence jumped to {seq}")
             expected += 1
-            yield fields
+            yield record
 
 
 def read_audit_log(path) -> list[dict]:
@@ -329,7 +359,7 @@ def read_event_log(path) -> Iterator[dict]:
     ``_read_log`` reads them, with ``time`` an integer."""
     for ev in _read_log(path):
         try:
-            ev["time"] = int(ev["time"])
+            ev["time"] = _integer(ev["time"], "time")
         except (ValueError, KeyError) as e:
             raise CorruptLog(int(ev["seq"]), f"unreadable event: {e}") from e
         yield ev
@@ -346,6 +376,8 @@ def replay_events(events: Iterable[dict], jm: JobManager) -> JobManager:
     twice.  An event the live state machine could not have written raises
     CorruptLog.  A restored job keeps its logged RSL text (``JobRecord.spec``).
     """
+    # RSL texts that passed: the verdict depends on the text alone
+    checked: set[str] = set()
     on_event, jm.on_event = jm.on_event, None
     try:
         for ev in events:
@@ -354,20 +386,24 @@ def replay_events(events: Iterable[dict], jm: JobManager) -> JobManager:
                 if kind == "created":
                     rsl = ev["rsl"]
                     # parsed only to reject RSL a live SUBMIT could not have logged
-                    apply_defaults(to_job_description(parse_rsl(rsl)))
+                    if rsl not in checked:
+                        apply_defaults(to_job_description(parse_rsl(rsl)))
+                        checked.add(rsl)
                     record = JobRecord(
                         job_id=job_id,
                         owner=jm._owner(ev["owner"]),
                         account=ev["account"],
                         jobtag=None if ev.get("jobtag", "-") == "-" else ev["jobtag"],
                         spec=rsl,
-                        priority=int(ev["priority"]),
-                        duration=int(ev["duration"]),
+                        priority=_integer(ev["priority"], "priority"),
+                        duration=_integer(ev["duration"], "duration"),
                     )
                     jm._add(record)
                     jm._emit(record, kind, actor, time)
                 else:
                     payload = {k: v for k, v in ev.items() if k not in _EVENT_HEADER}
+                    if kind == "priority-changed":
+                        payload["value"] = _integer(payload["value"], "priority value")
                     jm._apply(jm._get(job_id), kind, actor, time, **payload)
                 jm.clock = max(jm.clock, time)
             except (JobManagerError, ValueError, KeyError, IndexError) as e:

@@ -33,3 +33,10 @@ def test_authorize_probe_runs():
     run = _run("authorize_probe.py")
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith(b"authorize: ")
+
+
+def test_restart_probe_runs():
+    # a smoke test: the timing it prints depends on the host and is not checked
+    run = _run("restart_probe.py")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(b"restart: 5000 jobs ")

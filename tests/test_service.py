@@ -23,6 +23,7 @@ from gridauthz.service import (
     Service,
     ServiceConfig,
     _parse_kv_line,
+    _read_log,
     _q,
     read_audit_log,
     read_event_log,
@@ -493,6 +494,27 @@ class TestLogIntegrity:
             Service(ServiceConfig.from_file(config))
         assert e.value.sequence == 2
 
+    @pytest.mark.parametrize("name, logged, corrupt, sequence", [
+        ("events.log", "seq=1 time=0", 'seq=1 time="1_0"', 1),
+        ("events.log", "seq=2 time=0", 'seq="+2" time=" 3"', 2),
+        ("events.log", 'priority="0" duration="10"', 'priority=" 7" duration="10"', 1),
+        ("events.log", 'priority="0" duration="3"', 'priority="0" duration="1_0"', 2),
+        ("events.log", 'value="2"', 'value="+2"', 6),
+        ("events.log", "seq=7 time=2", "seq=7 time=\u0662", 7),
+        ("audit.log", "seq=2 time=0", 'seq="+2" time=0', 2),
+        ("audit.log", "seq=3 time=0", "seq=3 time=0 seq=\" 3\"", 3),
+        ("audit.log", "seq=4 time=0", "seq=\u0664 time=0", 4),
+    ])
+    def test_log_integers_are_ascii_digits_only(self, tmp_path, name, logged, corrupt,
+                                                sequence):
+        # the rule of protocol integers; int() alone takes each of these
+        config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+        whole = SCENARIO_LOGS[name].decode()
+        assert whole.count(logged) == 1
+        with pytest.raises(CorruptLog) as e:
+            _start_over(tmp_path, config, name, whole.replace(logged, corrupt).encode())
+        assert e.value.sequence == sequence
+
     def test_empty_logs_are_fine(self, tmp_path):
         (tmp_path / "a.log").write_text("")
         assert read_audit_log(tmp_path / "a.log") == []
@@ -551,6 +573,17 @@ def _events(*kinds):
             for i, kind in enumerate(kinds, 1)]
 
 
+GOOD_RSL = "&(executable = test2)(count = 1)"
+NON_EQUALITY_RSL = "&(executable = test2)(count != 1)"
+
+
+def _created(n, rsl):
+    """A well-formed ``created`` record of job-<n> at sequence n."""
+    return {"seq": str(n), "time": 0, "job": f"job-{n}", "event": "created",
+            "actor": BO_DN, "owner": BO_DN, "account": "bliu", "jobtag": "NFC",
+            "priority": "0", "duration": "10", "rsl": rsl}
+
+
 class TestReplay:
     def test_log_bytes_are_pinned(self, tmp_path):
         service = make_service(tmp_path, PERMISSIVE, PERMISSIVE)
@@ -586,6 +619,35 @@ class TestReplay:
         with pytest.raises(CorruptLog) as e:
             _start_over(tmp_path, config, "events.log", corrupt)
         assert e.value.sequence == 2
+
+    @pytest.mark.parametrize("texts, sequence", [
+        ([GOOD_RSL] * 3 + [NON_EQUALITY_RSL], 4),
+        ([NON_EQUALITY_RSL] * 3, 1),
+        ([GOOD_RSL, "&(broken", GOOD_RSL, "&(broken"], 2),
+    ], ids=["fourth-differs", "bad-repeated", "bad-after-good"])
+    def test_a_checked_rsl_text_does_not_vouch_for_another(self, texts, sequence):
+        # each text is checked once per replay; a failing one stops at its first use
+        jm = JobManager(None, JobManagerConfig())
+        with pytest.raises(CorruptLog) as e:
+            replay_events([_created(n, text) for n, text in enumerate(texts, 1)], jm)
+        assert e.value.sequence == sequence
+
+    def test_replay_parses_each_distinct_rsl_text_once(self, tmp_path, monkeypatch):
+        config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+        texts = [f"&(executable = test{i})(count = 1)" for i in range(3)]
+        (tmp_path / "events.log").write_text("".join(
+            f"seq={n} time=0 job=job-{n} event=created actor={BO} owner={BO} "
+            f'account="bliu" jobtag="-" priority="0" duration="1" rsl={_q(texts[n % 3])}\n'
+            for n in range(1, 13)))
+        parsed = []
+        parse_rsl = service_module.parse_rsl
+        monkeypatch.setattr(service_module, "parse_rsl",
+                            lambda text: parsed.append(text) or parse_rsl(text))
+        service = Service(ServiceConfig.from_file(config))
+        service.close()
+        assert sorted(parsed) == texts
+        assert [r.spec for r in service.jobmanager.jobs.values()] == \
+            [texts[n % 3] for n in range(1, 13)]
 
     def test_replay_reconstructs_job_table(self, tmp_path):
         service = make_service(tmp_path, PERMISSIVE, PERMISSIVE)
@@ -785,6 +847,75 @@ def test_unreadable_whole_line_still_stops_start(tmp_path, torn, where):
         _start_over(tmp_path, config, torn, corrupt)
     assert e.value.sequence == k + 1
     assert (tmp_path / torn).read_bytes() == corrupt
+
+
+# bytes spliced into a log: not UTF-8, quotes, escapes, record ends, blanks
+# that separate fields and blanks that do not, and parts of a seq field
+SPLICES = [b"\xff", b'"', b"\\", b"\n", b" ", b"\t", b"\r", b"\x0b", "\u2028".encode(),
+           b"=", b"x", b"0", b"-", b"+", b"_", b"seq=", b"seq=3", b'seq="4"']
+SEQ_FIELD = re.compile(rb'seq="?[0-9]*"?')
+
+
+@st.composite
+def mutated_logs(draw, whole: bytes) -> bytes:
+    """``whole`` with a few bytes inserted, deleted or replaced at random
+    offsets, or with one of its seq fields moved or copied elsewhere."""
+    data = bytearray(whole)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "move-seq", "copy-seq"]))
+        if kind.endswith("-seq"):
+            fields = list(SEQ_FIELD.finditer(data))
+            if not fields:
+                continue
+            field = fields[draw(st.integers(0, len(fields) - 1))]
+            piece = field[0]
+            if kind == "move-seq":
+                del data[field.start():field.end()]
+                at = min(at, len(data))
+            data[at:at] = piece
+        else:
+            end = at if kind == "insert" else at + draw(st.integers(1, 3))
+            data[at:end] = b"" if kind == "delete" else draw(st.sampled_from(SPLICES))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def scenario_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("oracle")
+    return root, write_service_tree(root, PERMISSIVE, PERMISSIVE)
+
+
+def _outcome(count):
+    try:
+        return count()
+    except CorruptLog as e:
+        return ("CorruptLog", e.sequence)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_logs(SCENARIO_AUDIT.encode()))
+@example(SCENARIO_AUDIT.encode().replace(b"seq=2 ", b"seq=2 seq=9 ", 1))
+@example(SCENARIO_AUDIT.encode().replace(b"seq=2 ", b'seq=9 seq="2" ', 1))
+@example(SCENARIO_AUDIT.encode().replace(b"seq=2 ", b"seq=02 ", 1))
+@example(SCENARIO_AUDIT.encode().replace(b"\nseq=3 ", b"\n\x0b\xe2\x80\xa8\n \nseq=3 ", 1))
+@example(SCENARIO_AUDIT.encode().replace(b"\nseq=3 ", b"\n\x0bseq=3 ", 1))
+@example(SCENARIO_AUDIT.encode().replace(b'ref="-"', b'ref="seq=1"', 1))
+@example(SCENARIO_AUDIT.encode().replace(b"seq=5 ", b'seq="\\5" ', 1))
+def test_audit_count_agrees_with_the_reader(scenario_tree, log):
+    # the count at start against the reader the tests and read_audit_log use
+    root, config = scenario_tree
+    (root / "audit.log").write_bytes(log)
+    (root / "events.log").write_bytes(SCENARIO_EVENTS.encode())
+
+    def start():
+        service = Service(ServiceConfig.from_file(config))
+        service.close()
+        return service.audit_log.sequence
+
+    # both read what start left: it cuts a torn last record before counting
+    started = _outcome(start)
+    assert started == _outcome(lambda: sum(1 for _ in _read_log(root / "audit.log")))
 
 
 def _drive_restart_mix(service, rng, requests):
