@@ -1,10 +1,17 @@
-"""Time a service start over the logs of 5000 finished jobs.
+"""Time a service start over the logs of 5000 finished jobs, with and
+without a checkpoint.
 
 Writes the audit and event logs of the benchmark's ``job-churn`` set-up
 (``perfbench/gen.py``'s ``write_restart_log``, seed 1, 5000 jobs) next to
-the extended reference policy, then times ``Service(...)``, which counts
-the audit log and replays the event log, and each of those two parts on
-its own.  Each time is the best of five.
+the extended reference policy, then times:
+
+- a start with no checkpoint, ``Service(...)``, which counts the audit
+  log, replays the event log and writes a checkpoint; each of those three
+  parts on its own;
+- a start from that checkpoint, which replays nothing.
+
+Each time is the best of five.  Exits 1 if the two starts give different
+job tables.
 
     PYTHONPATH=src python scripts/restart_probe.py
 """
@@ -29,14 +36,21 @@ JOBS = 5000
 PASSES = 5
 
 
-def best_ms(work) -> float:
+def best_ms(work, prepare=lambda: None) -> float:
     best = float("inf")
     for _ in range(PASSES):
+        prepare()
         gc.collect()
         t0 = time.perf_counter()
         work()
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
+
+
+def start(config) -> Service:
+    service = Service(config)
+    service.close()
+    return service
 
 
 def main() -> int:
@@ -48,15 +62,26 @@ def main() -> int:
         audit, events = work / "audit.log", work / "events.log"
         gen.write_restart_log(random.Random(SEED), audit, events, JOBS)
         config = ServiceConfig.from_file(conf)
-        start_ms = best_ms(lambda: Service(config).close())
+        forget = lambda: config.checkpoint_path.unlink(missing_ok=True)  # noqa: E731
+        full_ms = best_ms(lambda: start(config), forget)
         audit_ms = best_ms(lambda: AuditLog(audit).close())
         replay_ms = best_ms(lambda: replay_events(
             read_event_log(events), JobManager(None, JobManagerConfig(slots=config.slots))))
-        service = Service(config)
-        service.close()
-    print(f"restart: {JOBS} jobs ({service.audit_log.sequence} audit records, "
-          f"{service.event_log.sequence} events), start {start_ms:.1f} ms "
-          f"(audit open {audit_ms:.1f} ms, replay {replay_ms:.1f} ms), best of {PASSES}")
+        forget()
+        full = start(config)
+        write_ms = best_ms(full.checkpoint)
+        checkpointed_ms = best_ms(lambda: start(config))
+        restored = start(config)
+    same = restored.jobmanager.snapshot() == full.jobmanager.snapshot()
+    print(f"restart: {JOBS} jobs ({full.audit_log.sequence} audit records, "
+          f"{full.event_log.sequence} events), best of {PASSES}:\n"
+          f"  start without a checkpoint {full_ms:.1f} ms (audit open {audit_ms:.1f} ms, "
+          f"replay {replay_ms:.1f} ms, checkpoint write {write_ms:.1f} ms)\n"
+          f"  start from the checkpoint {checkpointed_ms:.1f} ms")
+    if full.warnings or restored.warnings or not same:
+        print(f"the two starts differ: same table {same}, warnings "
+              f"{full.warnings + restored.warnings}")
+        return 1
     return 0
 
 

@@ -11,6 +11,7 @@ Protocol: one UTF-8 request line, one response line.
     POLICY-EVAL dn="..." action="start" rsl="..."   (or job="job-1")
     TICK now="3"
     RELOAD
+    CHECKPOINT
 
 Responses are ``OK ...`` or ``E-<CLASS> <reason>`` where the class is
 one of SYNTAX, GATE, DENY, ERROR, UNKNOWN-JOB, TRANSITION.
@@ -22,7 +23,7 @@ import os
 import re
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -72,6 +73,10 @@ from .policy import (
 from .rsl import RslError, apply_defaults, parse_rsl, to_job_description
 
 
+# the longest request line the TCP server reads, newline included
+MAX_LINE = 64 * 1024
+
+
 class ConfigError(ValueError):
     pass
 
@@ -102,6 +107,10 @@ class ServiceConfig:
         if self.slots < 1:
             raise ConfigError("slots must be >= 1")
 
+    @property
+    def checkpoint_path(self) -> Path:
+        return Path(f"{self.event_log_path}.checkpoint")
+
     @classmethod
     def from_file(cls, path) -> "ServiceConfig":
         path = Path(path)
@@ -129,6 +138,10 @@ class ServiceConfig:
         self_management = values.get("self_management", "on").lower()
         if self_management not in ("on", "off"):
             raise ConfigError(f"{path}: self_management must be 'on' or 'off'")
+        try:
+            slots = _integer(values.get("slots", "1"), "slots")
+        except ProtocolError as e:
+            raise ConfigError(f"{path}: {e}") from e
         return cls(
             local_policy_path=file_path("local_policy_path"),
             vo_policy_path=file_path("vo_policy_path"),
@@ -136,7 +149,7 @@ class ServiceConfig:
             callout_config_path=file_path("callout_config_path"),
             audit_log_path=file_path("audit_log_path"),
             event_log_path=file_path("event_log_path"),
-            slots=int(values.get("slots", "1")),
+            slots=slots,
             self_management=self_management == "on",
             listen_endpoint=values.get("listen_endpoint", "127.0.0.1:7736"),
         )
@@ -262,10 +275,11 @@ def _cut_torn_tail(path: Path):
 
 
 class AuditLog(_SequencedLog):
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, start: tuple[int, int] = (0, 0)):
+        """``start`` is the (sequence, byte offset) the count starts after."""
         _cut_torn_tail(path)
         # counted, not kept: nothing reads an audit record back at start
-        super().__init__(path, sum(1 for _ in _read_log(path, _sequence_only)))
+        super().__init__(path, start[0] + sum(1 for _ in _read_log(path, _sequence_only, start)))
 
     def record(self, timestamp, requester, action, job_id, decision: Decision,
                ref, source) -> AuditRecord:
@@ -319,22 +333,25 @@ def _sequence_only(line: str) -> tuple[None, str]:
     return None, seq[1:-1] if seq.startswith('"') else seq
 
 
-def _read_log(path, read=_fields):
+def _read_log(path, read=_fields, start=(0, 0)):
     """Parse a sequenced log strictly, one record at a time; a missing file
     is an empty log.
 
     Every non-blank line must parse and carry the next sequence number,
     otherwise CorruptLog names the first sequence that is not there.
     ``read`` turns a line into (record, raw seq); the record is yielded.
+    Reading begins at the byte offset of ``start``, after the record with
+    its sequence number.
     """
     path = Path(path)
     if not path.exists():
         return
-    expected = 1
+    expected, offset = start[0] + 1, start[1]
     # records end at b"\n" only: a quoted value may hold "\r", "\x85" or
     # "\u2028", which universal newlines and str.splitlines() split on; a
     # record that is not UTF-8 is unreadable at its sequence
     with open(path, "rb") as fh:
+        fh.seek(offset)
         for raw in fh:
             try:
                 line = raw.decode("utf-8")
@@ -354,10 +371,10 @@ def read_audit_log(path) -> list[dict]:
     return list(_read_log(path))
 
 
-def read_event_log(path) -> Iterator[dict]:
+def read_event_log(path, start=(0, 0)) -> Iterator[dict]:
     """The records of an event log one at a time, read as strictly as
     ``_read_log`` reads them, with ``time`` an integer."""
-    for ev in _read_log(path):
+    for ev in _read_log(path, start=start):
         try:
             ev["time"] = _integer(ev["time"], "time")
         except (ValueError, KeyError) as e:
@@ -426,30 +443,84 @@ class Service:
         if registry is None:
             registry = make_builtin_registry(lambda: self._policies)
         self.callouts = Callouts(self.callout_config, registry)
-        self.audit_log = AuditLog(config.audit_log_path)
+        # what a start met and went on past, such as a stale checkpoint
+        self.warnings: list[str] = []
         _cut_torn_tail(config.event_log_path)
-        self.jobmanager = JobManager(
-            self.callouts,
-            JobManagerConfig(slots=config.slots, self_management=config.self_management),
-            audit=self._audit,
-            on_event=self._on_event,
-        )
-        replayed = 0
+        self.jobmanager, self._covered = self._restore_checkpoint()
+        # (sequence, byte offset) of each log up to which the table is restored
+        audit, events = ([(c.sequence, c.offset) for c in self._covered] if self._covered
+                         else [(0, 0), (0, 0)])
+        self.audit_log = AuditLog(config.audit_log_path, audit)
+        replayed = events[0]
 
-        def counted(events):
+        def counted(records):
             nonlocal replayed
-            for replayed, ev in enumerate(events, 1):
+            for replayed, ev in enumerate(records, replayed + 1):
                 yield ev
 
         # streamed: no more than one event record is held at a time
         try:
-            replay_events(counted(read_event_log(config.event_log_path)), self.jobmanager)
+            replay_events(counted(read_event_log(config.event_log_path, events)),
+                          self.jobmanager)
         except BaseException:
             self.audit_log.close()  # the caller gets no Service to close it
             raise
         self.event_log = EventLog(config.event_log_path, replayed)
+        # a start that replayed leaves a checkpoint for the next one
+        if (self.audit_log.sequence, replayed) != (audit[0], events[0]):
+            try:
+                self.checkpoint()
+            except OSError as e:
+                self.warnings.append(f"checkpoint not written: {e}")
 
     # -- loading ---------------------------------------------------------
+
+    def _new_jobmanager(self) -> JobManager:
+        return JobManager(
+            self.callouts,
+            JobManagerConfig(slots=self.config.slots,
+                             self_management=self.config.self_management),
+            audit=self._audit,
+            on_event=self._on_event,
+        )
+
+    def _restore_checkpoint(self):
+        """The job table of the checkpoint and how much of each log it
+        covers; an empty table and None if there is no checkpoint or it is
+        stale.  A start raises nothing because of a checkpoint."""
+        path = self.config.checkpoint_path
+        tmp = path.with_name(path.name + ".tmp")
+        jm = self._new_jobmanager()
+        if not (path.exists() or tmp.exists()):
+            return jm, None
+        # imported where used: a start with no checkpoint does without it
+        from .checkpoint import load_checkpoint
+
+        try:
+            if tmp.exists():
+                tmp.unlink()
+                self.warnings.append(f"removed {tmp}, left by a checkpoint write that "
+                                     "did not finish")
+            if path.exists():
+                return jm, load_checkpoint(path, self.config.audit_log_path,
+                                            self.config.event_log_path, jm)
+        except Exception as e:
+            self.warnings.append(f"stale checkpoint {path} ignored "
+                                 f"({type(e).__name__}: {e}); replaying the whole logs")
+            jm = self._new_jobmanager()
+        return jm, None
+
+    def checkpoint(self):
+        """Write the checkpoint of the job table as it stands, covering
+        every record in both logs."""
+        from .checkpoint import Covered, write_checkpoint
+
+        with self._lock:
+            audit, events = self._covered or (Covered.nothing(), Covered.nothing())
+            self._covered = (
+                audit.extended(self.config.audit_log_path, self.audit_log.sequence),
+                events.extended(self.config.event_log_path, self.event_log.sequence))
+            write_checkpoint(self.config.checkpoint_path, self.jobmanager, *self._covered)
 
     def _load_policies(self):
         local = parse_policy(
@@ -512,6 +583,11 @@ class Service:
             except (PolicySyntaxError, GridmapSyntaxError,
                     CalloutConfigError, ConfigError) as e:
                 return f"E-ERROR {e}"
+            except Exception as e:  # one reply line, and the service goes on
+                import traceback  # here: the module costs memory, and this is rare
+
+                traceback.print_exc()
+                return f"E-ERROR internal error: {type(e).__name__}"
 
     def _dispatch(self, line: str) -> str:
         if not line:
@@ -612,6 +688,13 @@ class Service:
         self.reload()
         return "OK reloaded"
 
+    def _cmd_checkpoint(self, fields):
+        try:
+            self.checkpoint()
+        except OSError as e:
+            return f"E-ERROR checkpoint not written: {e}"
+        return f"OK checkpoint audit={self.audit_log.sequence} events={self.event_log.sequence}"
+
     def close(self):
         self.audit_log.close()
         self.event_log.close()
@@ -629,13 +712,19 @@ class Service:
 
             def handle(self):
                 while True:
-                    raw = self.rfile.readline()
+                    raw = self.rfile.readline(MAX_LINE)
                     if not raw:
                         break
-                    try:
-                        response = service.handle_request(raw.decode("utf-8"))
-                    except UnicodeDecodeError as e:
-                        response = f"E-SYNTAX request is not UTF-8: {e.reason}"
+                    if len(raw) == MAX_LINE and not raw.endswith(b"\n"):
+                        # too long: one reply, and read on from the next line
+                        while raw and not raw.endswith(b"\n"):
+                            raw = self.rfile.readline(MAX_LINE)
+                        response = f"E-SYNTAX request line longer than {MAX_LINE} bytes"
+                    else:
+                        try:
+                            response = service.handle_request(raw.decode("utf-8"))
+                        except UnicodeDecodeError as e:
+                            response = f"E-SYNTAX request is not UTF-8: {e.reason}"
                     self.wfile.write((response + "\n").encode("utf-8"))
 
         class Server(socketserver.ThreadingTCPServer):

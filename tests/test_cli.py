@@ -182,6 +182,13 @@ class TestNetworkClients:
                    "--dn", BO_DN, "--job", "job-1", "--kind", "priority"])
         assert rc == 2
 
+    def test_checkpoint(self, running_server, capsys):
+        main(["submit", "--config", running_server, "--dn", BO_DN, "--rsl", "&(executable=x)"])
+        capsys.readouterr()
+        assert main(["checkpoint", "--config", running_server]) == 0
+        assert capsys.readouterr().out.strip() == "OK checkpoint audit=2 events=1"
+        assert ServiceConfig.from_file(running_server).checkpoint_path.exists()
+
     def test_list(self, running_server, capsys):
         main(["submit", "--config", running_server,
               "--dn", BO_DN, "--rsl", "&(executable=x)(jobtag=NFC)"])
@@ -189,6 +196,15 @@ class TestNetworkClients:
         rc = main(["list", "--config", running_server, "--jobtag", "NFC"])
         assert rc == 0
         assert "job-1:PENDING" in capsys.readouterr().out
+
+
+def test_serve_prints_start_warnings(tmp_path, capsys, monkeypatch):
+    config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+    (tmp_path / "events.log.checkpoint").write_text("not a checkpoint\n")
+    monkeypatch.setattr(Service, "serve_forever", lambda self: None)
+    assert main(["serve", "--config", str(config)]) == 0
+    assert capsys.readouterr().err.startswith(
+        f"warning: stale checkpoint {tmp_path / 'events.log.checkpoint'} ignored")
 
 
 def test_no_command_prints_help(capsys):

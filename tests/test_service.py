@@ -92,6 +92,13 @@ class TestServiceConfig:
             ServiceConfig.from_file(
                 write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE, slots=0))
 
+    @pytest.mark.parametrize("slots", ["1_0", "+3", "x", "\u0663", "3.0", ""])
+    def test_slots_is_a_protocol_integer(self, tmp_path, slots):
+        # int() would start 1_0 with 10 slots and +3 with 3, and raise a bare ValueError on x
+        config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE, slots=slots)
+        with pytest.raises(ConfigError, match="slots"):
+            ServiceConfig.from_file(config)
+
 
 class TestProtocol:
     def test_submit_ok(self, svc):
@@ -714,6 +721,30 @@ def test_tcp_non_utf8_line_keeps_connection(served):
         stream.flush()
         assert stream.readline().startswith(b"E-SYNTAX ")
         assert stream.readline() == b"OK\n"
+
+
+def test_tcp_over_long_line_gets_one_reply_and_the_connection_goes_on(served):
+    with socket.create_connection(served, timeout=10) as sock:
+        stream = sock.makefile("rwb")
+        exact = b"LIST " + b" " * (service_module.MAX_LINE - 6) + b"\n"
+        stream.write(b"LIST " + b"x" * (3 * service_module.MAX_LINE) + b"\n" + exact + b"LIST\n")
+        stream.flush()
+        assert stream.readline() == (b"E-SYNTAX request line longer than %d bytes\n"
+                                     % service_module.MAX_LINE)
+        assert stream.readline() == b"OK\n"  # a line of exactly MAX_LINE bytes is read
+        assert stream.readline() == b"OK\n"
+
+
+def test_unexpected_error_is_one_reply_and_the_service_goes_on(svc, monkeypatch, capsys):
+    def broken(fields):
+        raise RuntimeError("not a protocol error")
+
+    monkeypatch.setattr(svc, "_cmd_status", broken)
+    assert svc.handle_request(f'STATUS dn="{BO_DN}" job="job-1"') == \
+        "E-ERROR internal error: RuntimeError"
+    assert "RuntimeError: not a protocol error" in capsys.readouterr().err  # the traceback
+    assert svc.handle_request(BO_START) == "OK job-1 PENDING"
+    assert svc.handle_request('TICK now="1"') == "OK time=1 job-1:ACTIVE"
 
 
 def test_tcp_out_of_grammar_line_keeps_connection(served):
