@@ -21,10 +21,15 @@ from sys import intern
 from .jobmanager import TERMINAL_STATES, HistoryEvent, JobManager, JobRecord, JobState
 from .rsl import description_to_rsl
 
-try:  # CPython's own SHA-256: hashlib would map OpenSSL, 3.5 MB more resident
+# CPython's own SHA-256 (``_sha256`` to 3.11, ``_sha2`` from 3.12): hashlib
+# would map OpenSSL, 3.5 MB more resident, though it hashes about 5x faster
+try:
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 VERSION = 1
 _HASH_CHUNK = 1 << 16
@@ -87,15 +92,18 @@ class Covered:
 
 
 def row(record: JobRecord) -> list:
-    """A job as one checkpoint row: every field, the RSL as text (as the
-    ``created`` event logged it) and the history flattened to time, event,
-    actor triples."""
+    """A job as one checkpoint row, in the form a replay of its events
+    gives: every field, the RSL as text (as the ``created`` event logged
+    it) and the history flattened to time, event, actor triples."""
     spec = record.spec if isinstance(record.spec, str) else description_to_rsl(record.spec)
+    # the event log writes no jobtag and jobtag "-" alike, and replay reads
+    # both back as None
+    jobtag = None if record.jobtag == "-" else record.jobtag
     history = []
     for h in record.history:
         history += (h.time, h.event, h.actor)
     return [record.job_id, record.state.value, record.owner.render(), record.account,
-            record.jobtag, spec, record.priority, record.duration, record.started_at,
+            jobtag, spec, record.priority, record.duration, record.started_at,
             record.ended_at, record.active_time, record.active_since, history]
 
 
@@ -130,8 +138,9 @@ def write_checkpoint(path: Path, jm: JobManager, audit: Covered, events: Covered
     jobs = jm.jobs.values()
     header = {
         "version": VERSION,
-        # the clock a replay of the covered events ends at; a TICK that
-        # changed nothing moved the live clock but logged no event
+        # the clock a replay of the covered events ends at: a live TICK
+        # that changed nothing moved the clock of the table written at
+        # close but logged no event
         "clock": max(0, max((h.time for r in jobs for h in r.history), default=0)),
         "next_id": jm._next_id,
         "audit": audit.entry(),

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Single-shot commands (submit, cancel, signal, status, list, checkpoint)
-talk to a running server over the configured endpoint.  ``policy check``,
+Single-shot commands (submit, cancel, signal, status, list) talk to a
+running server over the configured endpoint.  ``policy check``,
 ``policy eval`` and ``simulate`` work offline against the files named
 by the configuration.
 """
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, func in (("submit", cmd_submit), ("cancel", cmd_cancel),
                        ("signal", cmd_signal), ("status", cmd_status),
-                       ("list", cmd_list), ("checkpoint", cmd_checkpoint)):
+                       ("list", cmd_list)):
         p = add(name, func, help=f"send a {name.upper()} request to the server")
         p.add_argument("--config", required=True)
         if name == "submit":
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobtag")
             p.add_argument("--owner")
             p.add_argument("--state")
-        elif name != "checkpoint":
+        else:
             p.add_argument("--dn", required=True)
             p.add_argument("--job", required=True)
             if name == "signal":
@@ -103,12 +103,15 @@ def cmd_serve(args) -> int:
         return 1
     for warning in service.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    started = len(service.warnings)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        service.close()
+        service.close()  # which writes a checkpoint
+        for warning in service.warnings[started:]:
+            print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
@@ -143,10 +146,6 @@ def cmd_list(args) -> int:
     if args.state:
         line += f" state={args.state}"
     return _client(args, line)
-
-
-def cmd_checkpoint(args) -> int:
-    return _client(args, "CHECKPOINT")
 
 
 def cmd_policy_check(args) -> int:

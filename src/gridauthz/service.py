@@ -11,7 +11,6 @@ Protocol: one UTF-8 request line, one response line.
     POLICY-EVAL dn="..." action="start" rsl="..."   (or job="job-1")
     TICK now="3"
     RELOAD
-    CHECKPOINT
 
 Responses are ``OK ...`` or ``E-<CLASS> <reason>`` where the class is
 one of SYNTAX, GATE, DENY, ERROR, UNKNOWN-JOB, TRANSITION.
@@ -445,6 +444,9 @@ class Service:
         self.callouts = Callouts(self.callout_config, registry)
         # what a start met and went on past, such as a stale checkpoint
         self.warnings: list[str] = []
+        # set when a log record could not be written: the table may then
+        # hold what the logs do not, and no checkpoint is taken of it
+        self._unlogged = False
         _cut_torn_tail(config.event_log_path)
         self.jobmanager, self._covered = self._restore_checkpoint()
         # (sequence, byte offset) of each log up to which the table is restored
@@ -466,12 +468,6 @@ class Service:
             self.audit_log.close()  # the caller gets no Service to close it
             raise
         self.event_log = EventLog(config.event_log_path, replayed)
-        # a start that replayed leaves a checkpoint for the next one
-        if (self.audit_log.sequence, replayed) != (audit[0], events[0]):
-            try:
-                self.checkpoint()
-            except OSError as e:
-                self.warnings.append(f"checkpoint not written: {e}")
 
     # -- loading ---------------------------------------------------------
 
@@ -512,15 +508,16 @@ class Service:
 
     def checkpoint(self):
         """Write the checkpoint of the job table as it stands, covering
-        every record in both logs."""
+        every record in both logs; ``close`` calls it."""
         from .checkpoint import Covered, write_checkpoint
 
         with self._lock:
             audit, events = self._covered or (Covered.nothing(), Covered.nothing())
-            self._covered = (
+            covered = (
                 audit.extended(self.config.audit_log_path, self.audit_log.sequence),
                 events.extended(self.config.event_log_path, self.event_log.sequence))
-            write_checkpoint(self.config.checkpoint_path, self.jobmanager, *self._covered)
+            write_checkpoint(self.config.checkpoint_path, self.jobmanager, *covered)
+            self._covered = covered
 
     def _load_policies(self):
         local = parse_policy(
@@ -552,11 +549,19 @@ class Service:
     # -- audit / event plumbing -------------------------------------------
 
     def _audit(self, requester, action, job_id, decision: Decision):
-        self.audit_log.record(self.jobmanager.clock, requester.render(), action, job_id,
-                              decision, decision.ref, decision.source)
+        try:
+            self.audit_log.record(self.jobmanager.clock, requester.render(), action, job_id,
+                                  decision, decision.ref, decision.source)
+        except BaseException:
+            self._unlogged = True
+            raise
 
     def _on_event(self, record: JobRecord, event, actor, time, payload):
-        self.event_log.record(record.job_id, event, actor, time, payload)
+        try:
+            self.event_log.record(record.job_id, event, actor, time, payload)
+        except BaseException:
+            self._unlogged = True
+            raise
 
     # -- protocol ----------------------------------------------------------
 
@@ -688,16 +693,23 @@ class Service:
         self.reload()
         return "OK reloaded"
 
-    def _cmd_checkpoint(self, fields):
-        try:
-            self.checkpoint()
-        except OSError as e:
-            return f"E-ERROR checkpoint not written: {e}"
-        return f"OK checkpoint audit={self.audit_log.sequence} events={self.event_log.sequence}"
-
     def close(self):
-        self.audit_log.close()
-        self.event_log.close()
+        """Close both logs.  If they hold records that the checkpoint the
+        service started from does not cover, write a new checkpoint first,
+        so that the next start replays only what is logged after this."""
+        with self._lock:
+            covered = tuple(c.sequence for c in self._covered) if self._covered else (0, 0)
+            if (self.audit_log.sequence, self.event_log.sequence) == covered:
+                pass
+            elif self._unlogged:
+                self.warnings.append("checkpoint not written: a log record could not be written")
+            else:
+                try:
+                    self.checkpoint()
+                except OSError as e:
+                    self.warnings.append(f"checkpoint not written: {e}")
+            self.audit_log.close()
+            self.event_log.close()
 
     # -- TCP server ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""The checkpoint file: a start from it gives the state a full replay gives,
-and a checkpoint that does not hold is ignored with a warning."""
+"""The checkpoint file: ``Service.close`` writes it, a start from it gives
+the state a full replay gives, and a checkpoint that does not hold is
+ignored with a warning."""
 
 import json
 import random
@@ -24,9 +25,11 @@ def _config(root: Path) -> ServiceConfig:
 
 def _state(service: Service):
     """All of the restored table, more than ``snapshot()`` shows: the
-    clock, the next id and each job as its checkpoint row."""
+    clock, the next id, and each job's jobtag as it is held and the job
+    as its checkpoint row."""
     jm = service.jobmanager
-    return jm.snapshot(), jm.clock, jm._next_id, [row(r) for r in jm.jobs.values()]
+    return (jm.snapshot(), jm.clock, jm._next_id,
+            [(r.jobtag, row(r)) for r in jm.jobs.values()])
 
 
 def _start(root: Path):
@@ -44,19 +47,25 @@ def _full_replay(root: Path):
     return state
 
 
+def _crash(service: Service):
+    """Stop ``service`` as a crash would: the logs end where they are, and
+    no checkpoint is written."""
+    service.audit_log.close()
+    service.event_log.close()
+
+
 def _live(root: Path, requests: int, checkpoint_after: int):
-    """Drive a seeded mix, with a CHECKPOINT after the first part of it;
-    returns the live state at the end."""
+    """Drive a seeded mix, with a close (which writes a checkpoint) and a
+    restart after the first part of it; the rest is logged after the
+    checkpoint, and the service stops without writing another."""
     write_service_tree(root, REF_EXTENDED, REF_EXTENDED)
+    rng = random.Random(7)
     live = Service(_config(root))
-    try:
-        rng = random.Random(7)
-        _drive_restart_mix(live, rng, checkpoint_after)
-        assert live.handle_request("CHECKPOINT").startswith("OK checkpoint ")
-        _drive_restart_mix(live, rng, requests - checkpoint_after)
-        return _state(live)
-    finally:
-        live.close()
+    _drive_restart_mix(live, rng, checkpoint_after)
+    live.close()
+    live = Service(_config(root))
+    _drive_restart_mix(live, rng, requests - checkpoint_after)
+    _crash(live)
 
 
 # -- differential: live, from the checkpoint, from the logs alone ----------
@@ -66,7 +75,11 @@ STRANGER = _q("/O=Grid/O=Elsewhere/CN=Nobody")
 RSLS = ["&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(count=2)(maxtime=2)",
         "&(executable=test2)(directory=/sandbox/test)(jobtag=NFC)(count=1)",
         "&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(maxtime=3)",
+        # a live job holds jobtag "-", which the event log cannot tell from none
+        '&(executable=test3)(jobtag="-")',
         "&(executable=rogue)"]  # denied by policy
+# lets Bo start the jobtag "-" job
+DASH_GRANT = f'\n{BO_DN}:\n&(action = start)(executable = test3)(jobtag = "-")\n'
 
 
 @st.composite
@@ -102,37 +115,45 @@ def requests(draw):
 @settings(max_examples=60, deadline=None)
 @given(requests(), st.data())
 def test_checkpointed_start_equals_full_replay(lines, data):
-    at = data.draw(st.integers(0, len(lines)), label="checkpoint after")
+    at = data.draw(st.integers(0, len(lines)), label="restart after")
+    # a close writes the live table; a crash leaves a tail to replay
+    crash = data.draw(st.booleans(), label="crash at the end")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        write_service_tree(root, REF_EXTENDED, REF_EXTENDED)
+        write_service_tree(root, REF_EXTENDED + DASH_GRANT, REF_EXTENDED + DASH_GRANT)
         live = Service(_config(root))
-        try:
-            for line in lines[:at]:
-                live.handle_request(line)
-            assert live.handle_request("CHECKPOINT").startswith("OK checkpoint ")
-            for line in lines[at:]:
-                live.handle_request(line)
-            snapshot = live.jobmanager.snapshot()
-        finally:
+        for line in lines[:at]:
+            live.handle_request(line)
+        live.close()
+        live = Service(_config(root))
+        for line in lines[at:]:
+            live.handle_request(line)
+        snapshot = live.jobmanager.snapshot()
+        if crash:
+            _crash(live)
+        else:
             live.close()
+        assert live.warnings == []
         path = _config(root).checkpoint_path
-        taken = path.read_bytes()
+        taken = path.read_bytes() if path.exists() else None
 
         from_checkpoint, warnings = _start(root)
         assert warnings == []
-        path.write_bytes(taken[:-2] + bytes([taken[-2] ^ 1]) + b"\n")  # a flipped byte
-        from_stale, warnings = _start(root)
-        assert len(warnings) == 1 and "stale checkpoint" in warnings[0]
-        path.unlink()
+        if taken is not None:
+            path.write_bytes(taken[:-2] + bytes([taken[-2] ^ 1]) + b"\n")  # a flipped byte
+            from_stale, warnings = _start(root)
+            assert len(warnings) == 1 and "stale checkpoint" in warnings[0]
+        path.unlink(missing_ok=True)
         from_logs, warnings = _start(root)
         assert warnings == []
 
-        assert from_checkpoint[0] == from_stale[0] == from_logs[0] == snapshot
-        assert from_checkpoint == from_stale == from_logs
+        assert from_checkpoint[0] == from_logs[0] == snapshot
+        assert from_checkpoint == from_logs
+        if taken is not None:
+            assert from_stale == from_logs
 
 
-# -- the start writes a checkpoint and the next one replays only the tail ----
+# -- close writes a checkpoint and the next start replays only the tail -----
 
 
 def _counting_reads(monkeypatch):
@@ -154,30 +175,83 @@ def test_a_start_replays_only_what_follows_its_checkpoint(tmp_path, monkeypatch)
     config = write_service_tree(tmp_path, REF_EXTENDED, REF_EXTENDED)
     _perfbench_gen().write_restart_log(
         random.Random(1), tmp_path / "audit.log", tmp_path / "events.log", 200)
+    path = ServiceConfig.from_file(config).checkpoint_path
     first = Service(ServiceConfig.from_file(config))
+    assert not path.exists()  # a start writes no checkpoint
     first.close()
     assert first.warnings == []
     logged = first.event_log.sequence
-    path = ServiceConfig.from_file(config).checkpoint_path
     written = path.read_bytes()
 
     replayed, counted = _counting_reads(monkeypatch)
     second = Service(ServiceConfig.from_file(config))
-    try:
-        assert replayed == counted == [] and _state(second) == _state(first)
-        assert path.read_bytes() == written  # nothing replayed, nothing rewritten
-        _drive_restart_mix(second, random.Random(3), 40)
-        events, audits = second.event_log.sequence, second.audit_log.sequence
-        live = _state(second)
-    finally:
-        second.close()
+    assert replayed == counted == [] and _state(second) == _state(first)
+    second.close()
+    assert path.read_bytes() == written  # nothing logged since: nothing rewritten
+
     third = Service(ServiceConfig.from_file(config))
-    third.close()
+    _drive_restart_mix(third, random.Random(3), 40)
+    events, audits = third.event_log.sequence, third.audit_log.sequence
+    live = _state(third)
+    _crash(third)
+    fourth = Service(ServiceConfig.from_file(config))
+    fourth.close()
     assert [int(ev["seq"]) for ev in replayed] == list(range(logged + 1, events + 1))
     assert len(counted) == audits - first.audit_log.sequence
-    assert (third.event_log.sequence, third.audit_log.sequence) == (events, audits)
-    assert _state(third)[0] == live[0]
-    assert path.read_bytes() != written  # the tail was replayed: a new checkpoint
+    assert (fourth.event_log.sequence, fourth.audit_log.sequence) == (events, audits)
+    assert _state(fourth)[0] == live[0]
+    assert path.read_bytes() != written  # closed after a replayed tail: a new checkpoint
+
+    replayed.clear(), counted.clear()
+    fifth = Service(ServiceConfig.from_file(config))
+    fifth.close()
+    assert replayed == counted == [] and _state(fifth) == _state(fourth)
+
+
+def test_no_checkpoint_after_a_log_record_that_could_not_be_written(tmp_path, monkeypatch):
+    _live(tmp_path, 40, 40)
+    path = _config(tmp_path).checkpoint_path
+    written = path.read_bytes()
+    service = Service(_config(tmp_path))
+    write = service.event_log._write
+
+    def full_disk(line):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(service.event_log, "_write", full_disk)
+    assert service.handle_request(f"SUBMIT dn={BO} rsl={_q(RSLS[1])}") == \
+        "E-ERROR internal error: OSError"
+    monkeypatch.setattr(service.event_log, "_write", write)
+    assert service.handle_request(f"SUBMIT dn={BO} rsl={_q(RSLS[1])}").startswith("OK ")
+    service.close()
+    # the table holds a job the log does not, and the log has a gap
+    assert service.warnings == ["checkpoint not written: a log record could not be written"]
+    assert path.read_bytes() == written
+
+    def outcome():
+        with pytest.raises(CorruptLog) as e:
+            Service(_config(tmp_path))
+        return e.value.sequence
+
+    with_checkpoint = outcome()
+    path.unlink()
+    # the sequence of the record that was not written
+    assert with_checkpoint == outcome() == service.event_log.sequence - 1
+
+
+def test_a_checkpoint_written_at_close_holds_the_replay_state(tmp_path):
+    # a jobtag of "-", and a TICK that moves the clock but changes no job
+    write_service_tree(tmp_path, REF_EXTENDED + DASH_GRANT, REF_EXTENDED + DASH_GRANT)
+    live = Service(_config(tmp_path))
+    assert live.handle_request(f"SUBMIT dn={BO} rsl={_q(RSLS[3])}") == "OK job-1 PENDING"
+    live.handle_request('TICK now="3"')
+    live.handle_request('TICK now="40"')
+    assert (live.jobmanager.jobs["job-1"].jobtag, live.jobmanager.clock) == ("-", 40)
+    live.close()
+    from_checkpoint, warnings = _start(tmp_path)
+    assert warnings == []
+    assert from_checkpoint == _full_replay(tmp_path)
+    assert (from_checkpoint[1], from_checkpoint[3][0][0]) == (13, None)
 
 
 def test_empty_logs_leave_no_checkpoint(tmp_path):

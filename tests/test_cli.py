@@ -182,13 +182,6 @@ class TestNetworkClients:
                    "--dn", BO_DN, "--job", "job-1", "--kind", "priority"])
         assert rc == 2
 
-    def test_checkpoint(self, running_server, capsys):
-        main(["submit", "--config", running_server, "--dn", BO_DN, "--rsl", "&(executable=x)"])
-        capsys.readouterr()
-        assert main(["checkpoint", "--config", running_server]) == 0
-        assert capsys.readouterr().out.strip() == "OK checkpoint audit=2 events=1"
-        assert ServiceConfig.from_file(running_server).checkpoint_path.exists()
-
     def test_list(self, running_server, capsys):
         main(["submit", "--config", running_server,
               "--dn", BO_DN, "--rsl", "&(executable=x)(jobtag=NFC)"])
