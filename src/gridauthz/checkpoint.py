@@ -31,7 +31,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-VERSION = 1
+# a row's jobtag is the one its RSL gives; a version 1 row held none for
+# jobtag "-", so version 1 is stale
+VERSION = 2
 _HASH_CHUNK = 1 << 16
 # what json.loads does per row less its checks of input type and trailing
 # text, which a row that matched its digest needs no more
@@ -96,14 +98,11 @@ def row(record: JobRecord) -> list:
     gives: every field, the RSL as text (as the ``created`` event logged
     it) and the history flattened to time, event, actor triples."""
     spec = record.spec if isinstance(record.spec, str) else description_to_rsl(record.spec)
-    # the event log writes no jobtag and jobtag "-" alike, and replay reads
-    # both back as None
-    jobtag = None if record.jobtag == "-" else record.jobtag
     history = []
     for h in record.history:
         history += (h.time, h.event, h.actor)
     return [record.job_id, record.state.value, record.owner.render(), record.account,
-            jobtag, spec, record.priority, record.duration, record.started_at,
+            record.jobtag, spec, record.priority, record.duration, record.started_at,
             record.ended_at, record.active_time, record.active_since, history]
 
 

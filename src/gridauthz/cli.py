@@ -15,8 +15,9 @@ from pathlib import Path
 
 from .engine import AuthorizationRequest, JobContext, authorize
 from .policy import GridIdentity, PolicyError, lint_policy, parse_policy
-from .rsl import JobDescription, RslError, apply_defaults, parse_rsl, to_job_description
-from .service import Service, ServiceConfig, _q, explain, send_request
+from .rsl import JobDescription, RslError, apply_defaults, read_job_description
+from .service import (ConfigError, Service, ServiceConfig, _q, explain, load_policies,
+                      send_request)
 
 
 def main(argv=None) -> int:
@@ -167,31 +168,26 @@ def cmd_policy_check(args) -> int:
 
 
 def cmd_policy_eval(args) -> int:
-    config = ServiceConfig.from_file(args.config)
-    local_doc = parse_policy(config.local_policy_path.read_text(), "LOCAL",
-                             str(config.local_policy_path))
-    vo_doc = parse_policy(config.vo_policy_path.read_text(), "VO",
-                          str(config.vo_policy_path))
-    requester = GridIdentity.parse(args.dn)
+    if args.action != "start" and not args.jobowner:
+        print("management eval needs --jobowner", file=sys.stderr)
+        return 2
+    # what the server would answer E-SYNTAX or E-ERROR: one line, exit 2
     try:
-        description = (
-            apply_defaults(to_job_description(parse_rsl(args.rsl)))
-            if args.rsl else apply_defaults(JobDescription())
-        )
-    except RslError as e:
-        print(f"bad rsl: {e}", file=sys.stderr)
+        policies = load_policies(ServiceConfig.from_file(args.config))
+        requester = GridIdentity.parse(args.dn)
+        description = (read_job_description(args.rsl) if args.rsl
+                       else apply_defaults(JobDescription()))
+        jobowner = GridIdentity.parse(args.jobowner) if args.action != "start" else None
+    except (ConfigError, PolicyError, RslError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     if args.action == "start":
         req = AuthorizationRequest(requester, "start", description)
     else:
-        if not args.jobowner:
-            print("management eval needs --jobowner", file=sys.stderr)
-            return 2
         req = AuthorizationRequest(
             requester, args.action, description,
-            JobContext("job-0", GridIdentity.parse(args.jobowner),
-                       args.jobtag, args.signal_kind))
-    decision, facts = authorize(local_doc, vo_doc, req)
+            JobContext("job-0", jobowner, args.jobtag, args.signal_kind))
+    decision, facts = authorize(*policies, req)
     if args.explain:
         print(explain(decision, facts))
     else:

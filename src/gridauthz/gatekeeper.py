@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from .callout import CalloutArgs, Callouts, GRAM_AUTHZ
 from .engine import Decision, Outcome
 from .policy import GridIdentity, IdentitySyntaxError
-from .rsl import (JobDescription, RepeatedAttribute, apply_defaults, parse_rsl,
-                  to_job_description)
-
-# a job has one of each; a second value would be admitted under one reading
-# of the request and managed under another
-SINGLE_VALUED = ("executable", "directory", "count", "jobtag", "maxtime")
+from .rsl import JobDescription, read_job_description
 
 
 class GridmapSyntaxError(ValueError):
@@ -122,10 +117,7 @@ def admit(
     Raises RslSyntaxError and friends on malformed RSL, NotAuthorized on
     a gridmap miss, PolicyDenied / PolicyFailure on the PEP outcome.
     """
-    description = apply_defaults(to_job_description(parse_rsl(rsl_text)))
-    for name in SINGLE_VALUED:
-        if len(description.get(name) or ()) > 1:
-            raise RepeatedAttribute(name)
+    description = read_job_description(rsl_text)
     try:
         account = authorize_and_map(gridmap, requester)
     except NotAuthorized:

@@ -8,7 +8,6 @@ from the dispatch/resume timestamps so completion instants are exact.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -17,8 +16,8 @@ from .callout import CalloutArgs, Callouts, GRAM_AUTHZ
 from .engine import Decision, JobContext, MANAGEMENT_ACTIONS, Outcome
 from .gatekeeper import AdmissionTicket, PolicyDenied, require_permit
 from .policy import GridIdentity
-from .rsl import (JobDescription, apply_defaults, description_to_rsl, int_value,
-                  parse_rsl, to_job_description, value_text)
+from .rsl import (JobDescription, description_to_rsl, int_value, read_job_description,
+                  value_text)
 
 DEFAULT_DURATION = 10
 # a job owner manages their own job without a callout
@@ -30,20 +29,18 @@ class JobState(str, Enum):
     ACTIVE = "ACTIVE"
     SUSPENDED = "SUSPENDED"
     DONE = "DONE"
-    FAILED = "FAILED"
     CANCELED = "CANCELED"
 
 
 LEGAL_TRANSITIONS = {
-    JobState.PENDING: {JobState.ACTIVE, JobState.CANCELED, JobState.FAILED},
-    JobState.ACTIVE: {JobState.SUSPENDED, JobState.DONE, JobState.FAILED, JobState.CANCELED},
-    JobState.SUSPENDED: {JobState.ACTIVE, JobState.CANCELED, JobState.FAILED},
+    JobState.PENDING: {JobState.ACTIVE, JobState.CANCELED},
+    JobState.ACTIVE: {JobState.SUSPENDED, JobState.DONE, JobState.CANCELED},
+    JobState.SUSPENDED: {JobState.ACTIVE, JobState.CANCELED},
     JobState.DONE: set(),
-    JobState.FAILED: set(),
     JobState.CANCELED: set(),
 }
 
-TERMINAL_STATES = {JobState.DONE, JobState.FAILED, JobState.CANCELED}
+TERMINAL_STATES = {JobState.DONE, JobState.CANCELED}
 
 SIGNAL_KINDS = ("suspend", "resume", "priority")
 
@@ -56,6 +53,15 @@ STATE_EVENTS = {
     "done": (JobState.DONE, None),
     "canceled": (JobState.CANCELED, None),
 }
+
+
+def jobtag_and_duration(description: JobDescription) -> tuple[str | None, int]:
+    """A job's jobtag and run time, as its description gives them."""
+    jobtag = description.get("jobtag")
+    maxtime = description.get("maxtime")
+    duration = int_value(maxtime[0]) if maxtime else None
+    return (value_text(jobtag[0]) if jobtag else None,
+            duration if duration is not None and duration > 0 else DEFAULT_DURATION)
 
 
 class JobManagerError(Exception):
@@ -115,7 +121,7 @@ class JobRecord:
     @property
     def description(self) -> JobDescription:
         if isinstance(self.spec, str):
-            self.spec = apply_defaults(to_job_description(parse_rsl(self.spec)))
+            self.spec = read_job_description(self.spec)
         return self.spec
 
     @property
@@ -147,7 +153,10 @@ class JobManagerConfig:
 
 
 class JobManager:
-    """Single-writer job table with a simulated local scheduler."""
+    """Single-writer job table with a simulated local scheduler.
+
+    It takes no lock of its own: ``Service._lock`` serialises every call
+    into it."""
 
     def __init__(self, callouts: Callouts, config: JobManagerConfig,
                  audit=None, on_event=None):
@@ -166,7 +175,6 @@ class JobManager:
         # one identity per owner DN, shared by all of that owner's jobs
         self._owners: dict[str, GridIdentity] = {}
         self._next_id = 1
-        self._lock = threading.RLock()
 
     # -- helpers ---------------------------------------------------------
 
@@ -234,41 +242,32 @@ class JobManager:
     # -- submission ------------------------------------------------------
 
     def submit(self, ticket: AdmissionTicket) -> JobRecord:
-        with self._lock:
-            if not ticket.decision.is_permit:
-                raise PolicyDenied(ticket.decision.reason or "admission not permitted")
-            if ticket.submitted:
-                raise DuplicateTicket(ticket.ticket_id)
-            ticket.submitted = True
-            job_id = f"job-{self._next_id}"
-            jobtag_values = ticket.description.get("jobtag")
-            jobtag = value_text(jobtag_values[0]) if jobtag_values else None
-            duration = DEFAULT_DURATION
-            maxtime_values = ticket.description.get("maxtime")
-            if maxtime_values:
-                n = int_value(maxtime_values[0])
-                if n is not None and n > 0:
-                    duration = n
-            dn = ticket.requester.render()
-            record = JobRecord(
-                job_id=job_id,
-                owner=self._owner(dn, ticket.requester),
-                account=ticket.account,
-                jobtag=jobtag,
-                spec=ticket.description,
-                duration=duration,
-            )
-            self._add(record)
-            self._emit(
-                record, "created", dn, self.clock,
-                owner=dn,
-                account=ticket.account,
-                jobtag=jobtag,
-                priority=record.priority,
-                duration=duration,
-                rsl=description_to_rsl(ticket.description),
-            )
-            return record
+        if not ticket.decision.is_permit:
+            raise PolicyDenied(ticket.decision.reason or "admission not permitted")
+        if ticket.submitted:
+            raise DuplicateTicket(ticket.ticket_id)
+        ticket.submitted = True
+        jobtag, duration = jobtag_and_duration(ticket.description)
+        dn = ticket.requester.render()
+        record = JobRecord(
+            job_id=f"job-{self._next_id}",
+            owner=self._owner(dn, ticket.requester),
+            account=ticket.account,
+            jobtag=jobtag,
+            spec=ticket.description,
+            duration=duration,
+        )
+        self._add(record)
+        self._emit(
+            record, "created", dn, self.clock,
+            owner=dn,
+            account=ticket.account,
+            jobtag=jobtag,
+            priority=record.priority,
+            duration=duration,
+            rsl=description_to_rsl(ticket.description),
+        )
+        return record
 
     # -- management authorization ----------------------------------------
 
@@ -301,11 +300,10 @@ class JobManager:
     # -- management operations -------------------------------------------
 
     def cancel(self, job_id: str, requester: GridIdentity) -> JobRecord:
-        with self._lock:
-            record = self._get(job_id)
-            require_permit(self.authorize_management(record, requester, "cancel"))
-            self._apply(record, "canceled", requester.render(), self.clock)
-            return record
+        record = self._get(job_id)
+        require_permit(self.authorize_management(record, requester, "cancel"))
+        self._apply(record, "canceled", requester.render(), self.clock)
+        return record
 
     def signal(self, job_id: str, requester: GridIdentity, kind: str,
                value: int | None = None) -> JobRecord:
@@ -313,84 +311,79 @@ class JobManager:
             raise ValueError(f"unknown signal kind {kind!r}")
         if kind == "priority" and value is None:
             raise ValueError("priority signal needs an integer argument")
-        with self._lock:
-            record = self._get(job_id)
-            require_permit(self.authorize_management(record, requester, "signal", kind))
-            actor = requester.render()
-            if kind == "suspend":
-                self._apply(record, "suspended", actor, self.clock)
-            elif kind == "resume":
-                if record.state is not JobState.SUSPENDED:
-                    raise InvalidTransition(job_id, record.state,
-                                            "only a suspended job can be resumed")
-                if self._active_count() >= self.config.slots:
-                    raise InvalidTransition(job_id, record.state, "no free slot for resume")
-                self._apply(record, "resumed", actor, self.clock)
-            else:
-                self._apply(record, "priority-changed", actor, self.clock, value=value)
-            return record
+        record = self._get(job_id)
+        require_permit(self.authorize_management(record, requester, "signal", kind))
+        actor = requester.render()
+        if kind == "suspend":
+            self._apply(record, "suspended", actor, self.clock)
+        elif kind == "resume":
+            if record.state is not JobState.SUSPENDED:
+                raise InvalidTransition(job_id, record.state,
+                                        "only a suspended job can be resumed")
+            if self._active_count() >= self.config.slots:
+                raise InvalidTransition(job_id, record.state, "no free slot for resume")
+            self._apply(record, "resumed", actor, self.clock)
+        else:
+            self._apply(record, "priority-changed", actor, self.clock, value=value)
+        return record
 
     def status(self, job_id: str, requester: GridIdentity) -> dict:
-        with self._lock:
-            record = self._get(job_id)
-            require_permit(self.authorize_management(record, requester, "information"))
-            return record.status_view()
+        record = self._get(job_id)
+        require_permit(self.authorize_management(record, requester, "information"))
+        return record.status_view()
 
     def list_jobs(self, jobtag: str | None = None, owner: GridIdentity | None = None,
                   state: JobState | None = None) -> list[dict]:
-        with self._lock:
-            views = []
-            live = state is not None and state not in TERMINAL_STATES
-            for record in (self._live if live else self.jobs).values():
-                if jobtag is not None and record.jobtag != jobtag:
-                    continue
-                if owner is not None and record.owner != owner:
-                    continue
-                if state is not None and record.state is not state:
-                    continue
-                views.append(record.status_view())
-            return views
+        views = []
+        live = state is not None and state not in TERMINAL_STATES
+        for record in (self._live if live else self.jobs).values():
+            if jobtag is not None and record.jobtag != jobtag:
+                continue
+            if owner is not None and record.owner != owner:
+                continue
+            if state is not None and record.state is not state:
+                continue
+            views.append(record.status_view())
+        return views
 
     # -- scheduler ---------------------------------------------------------
 
     def tick(self, now: int) -> list[tuple[str, str]]:
-        with self._lock:
-            if now < self.clock:
-                raise ClockRegression(now, self.clock)
-            changes = []
-            for record in [r for r in self._live.values() if r.state is JobState.ACTIVE]:
-                if record.active_since is None:
-                    continue
-                total = record.active_time + (now - record.active_since)
-                if total >= record.duration:
-                    finish = record.active_since + (record.duration - record.active_time)
-                    self._apply(record, "done", "scheduler", finish)
-                    changes.append((record.job_id, JobState.DONE.value))
-            pending = sorted(
-                (r for r in self._live.values() if r.state is JobState.PENDING),
-                key=lambda r: (-r.priority, r.seq),
-            )
-            free = self.config.slots - self._active_count()
-            for record in pending[: max(free, 0)]:
-                self._apply(record, "dispatched", "scheduler", now)
-                changes.append((record.job_id, JobState.ACTIVE.value))
-            self.clock = now
-            return changes
+        if now < self.clock:
+            raise ClockRegression(now, self.clock)
+        changes = []
+        for record in [r for r in self._live.values() if r.state is JobState.ACTIVE]:
+            if record.active_since is None:
+                continue
+            total = record.active_time + (now - record.active_since)
+            if total >= record.duration:
+                finish = record.active_since + (record.duration - record.active_time)
+                self._apply(record, "done", "scheduler", finish)
+                changes.append((record.job_id, JobState.DONE.value))
+        pending = sorted(
+            (r for r in self._live.values() if r.state is JobState.PENDING),
+            key=lambda r: (-r.priority, r.seq),
+        )
+        free = self.config.slots - self._active_count()
+        for record in pending[: max(free, 0)]:
+            self._apply(record, "dispatched", "scheduler", now)
+            changes.append((record.job_id, JobState.ACTIVE.value))
+        self.clock = now
+        return changes
 
     def snapshot(self) -> str:
         """Deterministic text dump of the whole job table."""
-        with self._lock:
-            lines = []
-            for r in self.jobs.values():
-                lines.append(
-                    f"{r.job_id} state={r.state.value} owner=\"{r.owner.render()}\" "
-                    f"account={r.account} jobtag={r.jobtag or '-'} priority={r.priority} "
-                    f"duration={r.duration} started={_fmt(r.started_at)} "
-                    f"ended={_fmt(r.ended_at)} active_time={r.active_time}"
-                )
-                for h in r.history:
-                    lines.append(f"  {h.time} {h.event} {h.actor}")
-            return "\n".join(lines) + "\n"
+        lines = []
+        for r in self.jobs.values():
+            lines.append(
+                f"{r.job_id} state={r.state.value} owner=\"{r.owner.render()}\" "
+                f"account={r.account} jobtag={r.jobtag or '-'} priority={r.priority} "
+                f"duration={r.duration} started={_fmt(r.started_at)} "
+                f"ended={_fmt(r.ended_at)} active_time={r.active_time}"
+            )
+            for h in r.history:
+                lines.append(f"  {h.time} {h.event} {h.actor}")
+        return "\n".join(lines) + "\n"
 
 
 def _fmt(value):

@@ -315,6 +315,22 @@ def apply_defaults(jd: JobDescription) -> JobDescription:
     return JobDescription(items)
 
 
+# a job has one of each; a second value would be admitted under one reading
+# of the request and managed under another
+SINGLE_VALUED = ("executable", "directory", "count", "jobtag", "maxtime")
+
+
+def read_job_description(text: str) -> JobDescription:
+    """The job that RSL text describes, as it is admitted: the one way a
+    description is made from text, so a job is managed, restored and
+    dry-run under the reading it was admitted under."""
+    description = apply_defaults(to_job_description(parse_rsl(text)))
+    for name in SINGLE_VALUED:
+        if len(description.get(name) or ()) > 1:
+            raise RepeatedAttribute(name)
+    return description
+
+
 def description_to_rsl(jd: JobDescription) -> str:
     assertions = []
     for name, values in jd.items():

@@ -61,6 +61,7 @@ from .jobmanager import (
     JobState,
     UnknownJob,
     _fmt,
+    jobtag_and_duration,
 )
 from .policy import (
     GridIdentity,
@@ -69,7 +70,7 @@ from .policy import (
     PolicySyntaxError,
     parse_policy,
 )
-from .rsl import RslError, apply_defaults, parse_rsl, to_job_description
+from .rsl import RslError, read_job_description
 
 
 # the longest request line the TCP server reads, newline included
@@ -172,16 +173,6 @@ _FIELD = re.compile(rf"""
     (?: ({_KEY}) = (?: "({_QUOTED})" | ({_BARE}) ) (?={_BLANK}|\Z)
       | ([^ \t\r\n].*) )
 """, re.S | re.X)
-# A whole record of such fields, matched at once where only its sequence
-# number is wanted.  ``seq`` is the raw value of its last seq= field, the
-# one the dict of _parse_kv_line keeps.
-_RECORD = re.compile(rf"""
-    (?: {_BLANK}*
-        (?: seq = (?P<seq> "{_QUOTED}" | {_BARE} )
-          | (?!seq=) {_KEY} = (?: "{_QUOTED}" | {_BARE} ) )
-        (?={_BLANK}|\Z) )*
-    {_BLANK}*
-""", re.S | re.X)
 _ESCAPE = re.compile(r'\\([\\"])')
 _TOKEN = re.compile(r"[^ \t\r\n]*")
 
@@ -277,8 +268,9 @@ class AuditLog(_SequencedLog):
     def __init__(self, path: Path, start: tuple[int, int] = (0, 0)):
         """``start`` is the (sequence, byte offset) the count starts after."""
         _cut_torn_tail(path)
-        # counted, not kept: nothing reads an audit record back at start
-        super().__init__(path, start[0] + sum(1 for _ in _read_log(path, _sequence_only, start)))
+        # read as strictly as any log, then counted, not kept: nothing uses
+        # an audit record at start
+        super().__init__(path, start[0] + sum(1 for _ in _read_log(path, start)))
 
     def record(self, timestamp, requester, action, job_id, decision: Decision,
                ref, source) -> AuditRecord:
@@ -315,30 +307,12 @@ class EventLog(_SequencedLog):
         self._write(" ".join(parts))
 
 
-def _fields(line: str) -> tuple[dict[str, str], str]:
-    fields = _parse_kv_line(line)
-    return fields, fields["seq"]
-
-
-def _sequence_only(line: str) -> tuple[None, str]:
-    """What ``_fields`` accepts, without building the fields."""
-    match = _RECORD.fullmatch(line)
-    if match is None:
-        raise ValueError("malformed record")
-    seq = match["seq"]
-    if seq is None:
-        raise KeyError("seq")
-    # a quoted integer holds no escape: unquoting is all _ESCAPE would do
-    return None, seq[1:-1] if seq.startswith('"') else seq
-
-
-def _read_log(path, read=_fields, start=(0, 0)):
-    """Parse a sequenced log strictly, one record at a time; a missing file
-    is an empty log.
+def _read_log(path, start=(0, 0)):
+    """Parse a sequenced log strictly, one record (a dict of its fields) at
+    a time; a missing file is an empty log.
 
     Every non-blank line must parse and carry the next sequence number,
     otherwise CorruptLog names the first sequence that is not there.
-    ``read`` turns a line into (record, raw seq); the record is yielded.
     Reading begins at the byte offset of ``start``, after the record with
     its sequence number.
     """
@@ -356,8 +330,8 @@ def _read_log(path, read=_fields, start=(0, 0)):
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                record, seq = read(line)
-                seq = _integer(seq, "seq")
+                record = _parse_kv_line(line)
+                seq = _integer(record["seq"], "seq")
             except (ValueError, KeyError) as e:
                 raise CorruptLog(expected, f"unreadable record: {e}") from e
             if seq != expected:
@@ -390,10 +364,14 @@ def replay_events(events: Iterable[dict], jm: JobManager) -> JobManager:
     Every event after ``created`` goes through ``JobManager._apply``, the
     transitions live calls make, with ``on_event`` off so nothing is logged
     twice.  An event the live state machine could not have written raises
-    CorruptLog.  A restored job keeps its logged RSL text (``JobRecord.spec``).
+    CorruptLog.  A restored job keeps its logged RSL text (``JobRecord.spec``)
+    and takes its jobtag and duration from that text, as a live SUBMIT took
+    them from the description it logged; the logged ``jobtag`` and
+    ``duration`` fields are not read.
     """
-    # RSL texts that passed: the verdict depends on the text alone
-    checked: set[str] = set()
+    # each RSL text that passed, and the (jobtag, duration) it gives: both
+    # depend on the text alone, so each distinct text is parsed once
+    checked: dict[str, tuple[str | None, int]] = {}
     on_event, jm.on_event = jm.on_event, None
     try:
         for ev in events:
@@ -401,18 +379,19 @@ def replay_events(events: Iterable[dict], jm: JobManager) -> JobManager:
                 job_id, kind, time, actor = ev["job"], ev["event"], ev["time"], ev["actor"]
                 if kind == "created":
                     rsl = ev["rsl"]
-                    # parsed only to reject RSL a live SUBMIT could not have logged
-                    if rsl not in checked:
-                        apply_defaults(to_job_description(parse_rsl(rsl)))
-                        checked.add(rsl)
+                    # what a live SUBMIT could not have logged raises here
+                    terms = checked.get(rsl)
+                    if terms is None:
+                        terms = checked[rsl] = jobtag_and_duration(read_job_description(rsl))
+                    jobtag, duration = terms
                     record = JobRecord(
                         job_id=job_id,
                         owner=jm._owner(ev["owner"]),
                         account=ev["account"],
-                        jobtag=None if ev.get("jobtag", "-") == "-" else ev["jobtag"],
+                        jobtag=jobtag,
                         spec=rsl,
                         priority=_integer(ev["priority"], "priority"),
-                        duration=_integer(ev["duration"], "duration"),
+                        duration=duration,
                     )
                     jm._add(record)
                     jm._emit(record, kind, actor, time)
@@ -435,7 +414,7 @@ class Service:
     def __init__(self, config: ServiceConfig, registry=None):
         self.config = config
         self._lock = threading.RLock()
-        self._policies: tuple[PolicyDocument, PolicyDocument] = self._load_policies()
+        self._policies: tuple[PolicyDocument, PolicyDocument] = load_policies(config)
         self.gridmap: Gridmap = self._load_gridmap()
         self.callout_config: CalloutConfig = self._load_callout_config()
         self.callout_config.require(GRAM_AUTHZ)
@@ -519,15 +498,6 @@ class Service:
             write_checkpoint(self.config.checkpoint_path, self.jobmanager, *covered)
             self._covered = covered
 
-    def _load_policies(self):
-        local = parse_policy(
-            _read(self.config.local_policy_path), "LOCAL",
-            str(self.config.local_policy_path))
-        vo = parse_policy(
-            _read(self.config.vo_policy_path), "VO",
-            str(self.config.vo_policy_path))
-        return (local, vo)
-
     def _load_gridmap(self):
         return parse_gridmap(_read(self.config.gridmap_path))
 
@@ -540,7 +510,7 @@ class Service:
 
     def reload(self):
         """Atomically swap policies and gridmap; in-flight requests see one set."""
-        local_vo = self._load_policies()
+        local_vo = load_policies(self.config)
         gridmap = self._load_gridmap()
         with self._lock:
             self._policies = local_vo
@@ -668,8 +638,7 @@ class Service:
         requester = GridIdentity.parse(dn)
         if action == "start":
             (rsl_text,) = self._need(fields, "rsl")
-            description = apply_defaults(to_job_description(parse_rsl(rsl_text)))
-            req = AuthorizationRequest(requester, "start", description)
+            req = AuthorizationRequest(requester, "start", read_job_description(rsl_text))
         elif action in MANAGEMENT_ACTIONS:
             (job_id,) = self._need(fields, "job")
             record = self.jobmanager.jobs.get(job_id)
@@ -773,6 +742,14 @@ def _explain_summary(fact) -> str:
         return "no applicable statements"
     what, ref, failing = fact
     return f"{what} {ref}" if failing is None else f"{what} {ref} failed at {failing.render()}"
+
+
+def load_policies(config: ServiceConfig) -> tuple[PolicyDocument, PolicyDocument]:
+    """The local and VO policy documents ``config`` names.  Raises
+    ConfigError for a file that cannot be read, PolicySyntaxError for one
+    that does not parse."""
+    return (parse_policy(_read(config.local_policy_path), "LOCAL", str(config.local_policy_path)),
+            parse_policy(_read(config.vo_policy_path), "VO", str(config.vo_policy_path)))
 
 
 def _read(path: Path) -> str:

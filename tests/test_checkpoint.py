@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridauthz import service as service_module
-from gridauthz.checkpoint import row
+from gridauthz.checkpoint import VERSION, row
 from gridauthz.service import CorruptLog, Service, ServiceConfig, _q
 
 from conftest import BO_DN, KATE_DN, write_service_tree
@@ -75,7 +75,8 @@ STRANGER = _q("/O=Grid/O=Elsewhere/CN=Nobody")
 RSLS = ["&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(count=2)(maxtime=2)",
         "&(executable=test2)(directory=/sandbox/test)(jobtag=NFC)(count=1)",
         "&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(maxtime=3)",
-        # a live job holds jobtag "-", which the event log cannot tell from none
+        # jobtag "-", which the event log's jobtag field cannot tell from
+        # none; a restart takes it from the RSL
         '&(executable=test3)(jobtag="-")',
         "&(executable=rogue)"]  # denied by policy
 # lets Bo start the jobtag "-" job
@@ -157,17 +158,22 @@ def test_checkpointed_start_equals_full_replay(lines, data):
 
 
 def _counting_reads(monkeypatch):
-    """The event records replayed and the audit lines counted from now on."""
+    """The event records replayed and the audit records counted from now on."""
     replayed, counted = [], []
     replay_events = service_module.replay_events
-    sequence_only = service_module._sequence_only
+    read_log = service_module._read_log
 
     def replay(events, jm):
         return replay_events((replayed.append(ev) or ev for ev in events), jm)
 
+    def read(path, start=(0, 0)):
+        for record in read_log(path, start):
+            if Path(path).name == "audit.log":
+                counted.append(record)
+            yield record
+
     monkeypatch.setattr(service_module, "replay_events", replay)
-    monkeypatch.setattr(service_module, "_sequence_only",
-                        lambda line: counted.append(line) or sequence_only(line))
+    monkeypatch.setattr(service_module, "_read_log", read)
     return replayed, counted
 
 
@@ -251,7 +257,30 @@ def test_a_checkpoint_written_at_close_holds_the_replay_state(tmp_path):
     from_checkpoint, warnings = _start(tmp_path)
     assert warnings == []
     assert from_checkpoint == _full_replay(tmp_path)
-    assert (from_checkpoint[1], from_checkpoint[3][0][0]) == (13, None)
+    assert (from_checkpoint[1], from_checkpoint[3][0][0]) == (13, "-")
+
+
+def test_jobtag_dash_reads_the_same_live_replayed_and_checkpointed(tmp_path):
+    write_service_tree(tmp_path, REF_EXTENDED + DASH_GRANT, REF_EXTENDED + DASH_GRANT)
+    queries = ['LIST jobtag="-"', f'STATUS dn={BO} job="job-1"']
+    live = Service(_config(tmp_path))
+    assert live.handle_request(f"SUBMIT dn={BO} rsl={_q(RSLS[3])}") == "OK job-1 PENDING"
+    assert live.handle_request(f"SUBMIT dn={BO} rsl={_q(RSLS[0])}") == "OK job-2 PENDING"
+    answers = [live.handle_request(q) for q in queries]
+    live.close()
+    assert answers[0] == "OK job-1:PENDING"
+
+    def answers_after(start):
+        service = start()
+        try:
+            return [service.handle_request(q) for q in queries]
+        finally:
+            service.close()
+
+    from_checkpoint = answers_after(lambda: Service(_config(tmp_path)))
+    _config(tmp_path).checkpoint_path.unlink()
+    from_logs = answers_after(lambda: Service(_config(tmp_path)))
+    assert from_checkpoint == from_logs == answers
 
 
 def test_empty_logs_leave_no_checkpoint(tmp_path):
@@ -348,9 +377,11 @@ def test_a_stale_checkpoint_gives_the_full_replay_state(tmp_path, case):
 def test_a_checkpoint_of_another_version_is_stale(tmp_path):
     _live(tmp_path, 30, 30)
     path = _config(tmp_path).checkpoint_path
-    path.write_bytes(path.read_bytes().replace(b'"version": 1', b'"version": 2', 1))
+    # a checkpoint in the previous format
+    old = f'"version": {VERSION - 1}'.encode()
+    path.write_bytes(path.read_bytes().replace(f'"version": {VERSION}'.encode(), old, 1))
     state, warnings = _start(tmp_path)
-    assert "version 2" in warnings[0]
+    assert len(warnings) == 1 and f"version {VERSION - 1}" in warnings[0]
     assert state == _full_replay(tmp_path)
 
 

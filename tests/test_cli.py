@@ -105,6 +105,27 @@ class TestPolicyEval:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("case", ["missing-policy", "bad-policy", "bad-dn", "bad-jobowner",
+                                      "repeated-attribute"])
+    def test_a_bad_input_is_one_error_line_and_exit_2(self, tmp_path, ref_config, capsys,
+                                                       case):
+        argv = ["policy", "eval", "--config", ref_config, "--dn", BO_DN,
+                "--action", "start", "--rsl", "&(executable=test1)"]
+        if case == "missing-policy":
+            (tmp_path / "local.policy").unlink()
+        elif case == "bad-policy":
+            (tmp_path / "vo.policy").write_text("&(count=1)\n")
+        elif case == "bad-dn":
+            argv[argv.index(BO_DN)] = "bad"
+        elif case == "bad-jobowner":
+            argv[argv.index("start")] = "cancel"
+            argv += ["--jobowner", "bad"]
+        else:  # as a SUBMIT of it would be refused
+            argv[-1] = "&(executable=a)(executable=b)"
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_bundled_scenario_passes(self, capsys):

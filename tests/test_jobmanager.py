@@ -327,7 +327,7 @@ def test_state_machine_safety_random_commands(ref_local, ref_vo, bo):
         for event in record.history:
             nxt = {"dispatched": JobState.ACTIVE, "suspended": JobState.SUSPENDED,
                    "resumed": JobState.ACTIVE, "done": JobState.DONE,
-                   "canceled": JobState.CANCELED, "failed": JobState.FAILED}.get(event.event)
+                   "canceled": JobState.CANCELED}.get(event.event)
             if nxt is None:
                 continue  # created / priority-changed
             assert nxt in LEGAL_TRANSITIONS[state]

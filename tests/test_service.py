@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridauthz import callout, gatekeeper, jobmanager, policy, service as service_module
+from gridauthz import callout, gatekeeper, jobmanager, policy, rsl as rsl_module
+from gridauthz import service as service_module
 from gridauthz.callout import Callouts
 from gridauthz.jobmanager import JobManager, JobManagerConfig
 from gridauthz.policy import GridIdentity
@@ -133,7 +134,10 @@ class TestProtocol:
     ])
     def test_repeated_single_valued_attribute_is_syntax_error(self, ref_svc, rsl):
         resp = ref_svc.handle_request(f'SUBMIT dn="{BO_DN}" rsl="{rsl}"')
-        assert resp.startswith("E-SYNTAX")
+        assert resp.startswith("E-SYNTAX") and "may have only one value" in resp
+        # a dry run reads the RSL as SUBMIT does
+        assert ref_svc.handle_request(
+            f'POLICY-EVAL dn="{BO_DN}" action="start" rsl="{rsl}"') == resp
         # rejected before the gridmap gate: nothing admitted, nothing audited
         assert ref_svc.handle_request("LIST") == "OK"
         assert ref_svc.audit_log.sequence == 0
@@ -213,6 +217,8 @@ class TestProtocol:
         assert svc.handle_request(
             f'LIST owner="{KATE_DN}"') == "OK job-2:PENDING"
         assert svc.handle_request('LIST state="DONE"') == "OK"
+        # no job can fail, so there is no such state
+        assert svc.handle_request('LIST state="FAILED"') == "E-SYNTAX unknown state 'FAILED'"
 
     def test_policy_eval_start(self, ref_svc):
         resp = ref_svc.handle_request(
@@ -230,7 +236,8 @@ class TestProtocol:
 
 def test_rsl_parsed_once_and_not_rendered_on_the_authorization_path(ref_svc, monkeypatch):
     calls = Counter()
-    for module in (callout, gatekeeper, jobmanager, service_module):
+    # rsl_module: read_job_description calls its own module's parse_rsl
+    for module in (callout, gatekeeper, jobmanager, rsl_module, service_module):
         for name in ("parse_rsl", "description_to_rsl"):
             if hasattr(module, name):
                 def counted(*args, _fn=getattr(module, name), _name=name):
@@ -505,7 +512,8 @@ class TestLogIntegrity:
         ("events.log", "seq=1 time=0", 'seq=1 time="1_0"', 1),
         ("events.log", "seq=2 time=0", 'seq="+2" time=" 3"', 2),
         ("events.log", 'priority="0" duration="10"', 'priority=" 7" duration="10"', 1),
-        ("events.log", 'priority="0" duration="3"', 'priority="0" duration="1_0"', 2),
+        # replay takes a job's duration from its RSL, not from this field
+        ("events.log", 'priority="0" duration="3"', 'priority="0_0" duration="3"', 2),
         ("events.log", 'value="2"', 'value="+2"', 6),
         ("events.log", "seq=7 time=2", "seq=7 time=\u0662", 7),
         ("audit.log", "seq=2 time=0", 'seq="+2" time=0', 2),
@@ -617,7 +625,8 @@ class TestReplay:
             replay_events(_events(*kinds), jm)
         assert e.value.sequence == len(kinds)
 
-    @pytest.mark.parametrize("rsl", ["&(broken", "&(count<3)", "&(executable=NULL)"])
+    @pytest.mark.parametrize("rsl", ["&(broken", "&(count<3)", "&(executable=NULL)",
+                                     "&(executable = a)(executable = b)"])
     def test_replay_rejects_a_created_rsl_live_calls_cannot_write(self, tmp_path, rsl):
         # the live machine logs only RSL it parsed into an equality description
         config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
@@ -647,14 +656,22 @@ class TestReplay:
             f'account="bliu" jobtag="-" priority="0" duration="1" rsl={_q(texts[n % 3])}\n'
             for n in range(1, 13)))
         parsed = []
-        parse_rsl = service_module.parse_rsl
-        monkeypatch.setattr(service_module, "parse_rsl",
+        parse_rsl = rsl_module.parse_rsl
+        monkeypatch.setattr(rsl_module, "parse_rsl",
                             lambda text: parsed.append(text) or parse_rsl(text))
         service = Service(ServiceConfig.from_file(config))
         service.close()
         assert sorted(parsed) == texts
         assert [r.spec for r in service.jobmanager.jobs.values()] == \
             [texts[n % 3] for n in range(1, 13)]
+
+    def test_replay_takes_jobtag_and_duration_from_the_rsl(self):
+        # the logged fields disagree with the RSL; a live SUBMIT derived both
+        # from the description it logged, so the RSL is what it admitted
+        rsls = ['&(executable = a)(jobtag = "-")(maxtime = 4)', "&(executable = b)"]
+        events = [_created(n, rsl) for n, rsl in enumerate(rsls, 1)]
+        jm = replay_events(events, JobManager(None, JobManagerConfig()))
+        assert [(r.jobtag, r.duration) for r in jm.jobs.values()] == [("-", 4), (None, 10)]
 
     def test_replay_reconstructs_job_table(self, tmp_path):
         service = make_service(tmp_path, PERMISSIVE, PERMISSIVE)
