@@ -19,7 +19,6 @@ from pathlib import Path
 from sys import intern
 
 from .jobmanager import TERMINAL_STATES, HistoryEvent, JobManager, JobRecord, JobState
-from .rsl import description_to_rsl
 
 # CPython's own SHA-256 (``_sha256`` to 3.11, ``_sha2`` from 3.12): hashlib
 # would map OpenSSL, 3.5 MB more resident, though it hashes about 5x faster
@@ -95,26 +94,25 @@ class Covered:
 
 def row(record: JobRecord) -> list:
     """A job as one checkpoint row, in the form a replay of its events
-    gives: every field, the RSL as text (as the ``created`` event logged
-    it) and the history flattened to time, event, actor triples."""
-    spec = record.spec if isinstance(record.spec, str) else description_to_rsl(record.spec)
+    gives: every field, the RSL text the ``created`` event logged and the
+    history flattened to time, event, actor triples."""
     history = []
     for h in record.history:
         history += (h.time, h.event, h.actor)
     return [record.job_id, record.state.value, record.owner.render(), record.account,
-            record.jobtag, spec, record.priority, record.duration, record.started_at,
+            record.jobtag, record.rsl, record.priority, record.duration, record.started_at,
             record.ended_at, record.active_time, record.active_since, history]
 
 
 def _restore(jm: JobManager, row: list):
     """Enter a job into ``jm`` from its row, in id order."""
-    (job_id, state, owner, account, jobtag, spec, priority, duration,
+    (job_id, state, owner, account, jobtag, rsl, priority, duration,
      started_at, ended_at, active_time, active_since, history) = row
     triples = iter(history)
     # event names and actors repeat from job to job: one copy of each
     history = [HistoryEvent(time, intern(event), intern(actor))
                for time, event, actor in zip(triples, triples, triples)]
-    record = JobRecord(job_id, jm._owner(owner), account, jobtag, spec,
+    record = JobRecord(job_id, jm._owner(owner), account, jobtag, rsl,
                        JobState(state), priority, duration, started_at, ended_at,
                        history, active_time, active_since)
     jm.jobs[job_id] = record

@@ -90,8 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _client(args, line: str) -> int:
-    config = ServiceConfig.from_file(args.config)
-    response = send_request(config.listen_endpoint, line)
+    # a config that cannot be read, or no server at its endpoint: one line, exit 2
+    try:
+        endpoint = ServiceConfig.from_file(args.config).listen_endpoint
+        response = send_request(endpoint, line)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"error: cannot reach the server at {endpoint}: {e}", file=sys.stderr)
+        return 2
     print(response)
     return 0 if response.startswith("OK") else 1
 
@@ -202,7 +210,11 @@ def cmd_simulate(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    config = ServiceConfig.from_file(args.config)
+    try:
+        config = ServiceConfig.from_file(args.config)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     # scenarios start from an empty store
     for log in (config.audit_log_path, config.event_log_path, config.checkpoint_path):
         if log.exists():

@@ -99,6 +99,7 @@ class AdmissionTicket:
     ticket_id: str
     requester: GridIdentity
     account: str
+    rsl: str  # the text the request carried, which ``description`` reads
     description: JobDescription
     decision: Decision
     # set by the job manager: a ticket admits one job
@@ -135,6 +136,7 @@ def admit(
         ticket_id=uuid.uuid4().hex,
         requester=requester,
         account=account,
+        rsl=rsl_text,
         description=description,
         decision=decision,
     )

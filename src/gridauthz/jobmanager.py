@@ -16,8 +16,7 @@ from .callout import CalloutArgs, Callouts, GRAM_AUTHZ
 from .engine import Decision, JobContext, MANAGEMENT_ACTIONS, Outcome
 from .gatekeeper import AdmissionTicket, PolicyDenied, require_permit
 from .policy import GridIdentity
-from .rsl import (JobDescription, description_to_rsl, int_value, read_job_description,
-                  value_text)
+from .rsl import JobDescription, int_value, read_job_description, value_text
 
 DEFAULT_DURATION = 10
 # a job owner manages their own job without a callout
@@ -105,9 +104,8 @@ class JobRecord:
     owner: GridIdentity
     account: str
     jobtag: str | None
-    # the parsed description, or for a job restored from the event log its
-    # logged RSL text until ``description`` is first read: one form, never both
-    spec: JobDescription | str
+    # the RSL text its SUBMIT carried; the event log and checkpoint hold it
+    rsl: str
     state: JobState = JobState.PENDING
     priority: int = 0
     duration: int = DEFAULT_DURATION
@@ -117,12 +115,14 @@ class JobRecord:
     # scheduler accounting
     active_time: int = 0
     active_since: int | None = None
+    # ``rsl`` as admission read it; a restored job reads it on first use
+    parsed: JobDescription | None = None
 
     @property
     def description(self) -> JobDescription:
-        if isinstance(self.spec, str):
-            self.spec = read_job_description(self.spec)
-        return self.spec
+        if self.parsed is None:
+            self.parsed = read_job_description(self.rsl)
+        return self.parsed
 
     @property
     def seq(self) -> int:
@@ -254,19 +254,13 @@ class JobManager:
             owner=self._owner(dn, ticket.requester),
             account=ticket.account,
             jobtag=jobtag,
-            spec=ticket.description,
+            rsl=ticket.rsl,
             duration=duration,
+            parsed=ticket.description,
         )
         self._add(record)
-        self._emit(
-            record, "created", dn, self.clock,
-            owner=dn,
-            account=ticket.account,
-            jobtag=jobtag,
-            priority=record.priority,
-            duration=duration,
-            rsl=description_to_rsl(ticket.description),
-        )
+        self._emit(record, "created", dn, self.clock, owner=dn, account=ticket.account,
+                   priority=record.priority, rsl=ticket.rsl)
         return record
 
     # -- management authorization ----------------------------------------

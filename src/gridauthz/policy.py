@@ -203,8 +203,19 @@ def empty_document(source: str = "LOCAL", label: str = "empty") -> PolicyDocumen
 
 
 def parse_policy(text: str, source: str, label: str = "") -> PolicyDocument:
+    """The document ``text`` holds; a PolicySyntaxError names it by ``label``."""
     if source not in ("VO", "LOCAL"):
         raise ValueError(f"policy source must be VO or LOCAL, not {source!r}")
+    try:
+        statements = _statements(text)
+    except PolicySyntaxError as e:
+        if label:
+            e.args = (f"{label}: {e}",)
+        raise
+    return PolicyDocument(statements, source, label)
+
+
+def _statements(text: str) -> tuple[PolicyStatement, ...]:
     statements = []
     subject = None
     kind = StatementKind.GRANT
@@ -244,7 +255,7 @@ def parse_policy(text: str, source: str, label: str = "") -> PolicyDocument:
         rules_in_block += 1
     if subject is not None and rules_in_block == 0:
         raise EmptyBlock(subject_line)
-    return PolicyDocument(tuple(statements), source, label)
+    return tuple(statements)
 
 
 def render_policy(doc: PolicyDocument) -> str:

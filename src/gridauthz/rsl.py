@@ -332,6 +332,9 @@ def read_job_description(text: str) -> JobDescription:
 
 
 def description_to_rsl(jd: JobDescription) -> str:
+    """The canonical RSL text of ``jd``.  The service calls it on no path,
+    since a job keeps the text it was submitted with; ``perfbench/spans.py``
+    counts its calls as ``rsl.render_per_request``."""
     assertions = []
     for name, values in jd.items():
         for v in values:

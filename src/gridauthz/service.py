@@ -138,8 +138,13 @@ class ServiceConfig:
         self_management = values.get("self_management", "on").lower()
         if self_management not in ("on", "off"):
             raise ConfigError(f"{path}: self_management must be 'on' or 'off'")
+        endpoint = values.get("listen_endpoint", "127.0.0.1:7736")
+        host, _, port = endpoint.rpartition(":")
         try:
             slots = _integer(values.get("slots", "1"), "slots")
+            if not (host and 0 <= _integer(port, "listen_endpoint port") <= 65535):
+                raise ProtocolError(f"listen_endpoint must be host:port with a port "
+                                    f"in 0-65535, got {endpoint!r}")
         except ProtocolError as e:
             raise ConfigError(f"{path}: {e}") from e
         return cls(
@@ -151,7 +156,7 @@ class ServiceConfig:
             event_log_path=file_path("event_log_path"),
             slots=slots,
             self_management=self_management == "on",
-            listen_endpoint=values.get("listen_endpoint", "127.0.0.1:7736"),
+            listen_endpoint=endpoint,
         )
 
 
@@ -364,10 +369,10 @@ def replay_events(events: Iterable[dict], jm: JobManager) -> JobManager:
     Every event after ``created`` goes through ``JobManager._apply``, the
     transitions live calls make, with ``on_event`` off so nothing is logged
     twice.  An event the live state machine could not have written raises
-    CorruptLog.  A restored job keeps its logged RSL text (``JobRecord.spec``)
+    CorruptLog.  A restored job holds its logged RSL text (``JobRecord.rsl``)
     and takes its jobtag and duration from that text, as a live SUBMIT took
-    them from the description it logged; the logged ``jobtag`` and
-    ``duration`` fields are not read.
+    them from its reading of the same text; the ``jobtag`` and ``duration``
+    fields an older log holds are not read.
     """
     # each RSL text that passed, and the (jobtag, duration) it gives: both
     # depend on the text alone, so each distinct text is parsed once
@@ -389,7 +394,7 @@ def replay_events(events: Iterable[dict], jm: JobManager) -> JobManager:
                         owner=jm._owner(ev["owner"]),
                         account=ev["account"],
                         jobtag=jobtag,
-                        spec=rsl,
+                        rsl=rsl,
                         priority=_integer(ev["priority"], "priority"),
                         duration=duration,
                     )

@@ -1,4 +1,6 @@
+import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,16 @@ from conftest import BO_DN, FIXTURES, KATE_DN, write_service_tree
 
 PERMISSIVE = "/O=Grid:\n&(action != NULL)\n"
 REFERENCE = (FIXTURES / "reference.policy").read_text()
+
+
+# what each client command needs besides --config
+CLIENT_ARGS = {
+    "submit": ["--dn", BO_DN, "--rsl", "&(executable=test1)"],
+    "cancel": ["--dn", BO_DN, "--job", "job-1"],
+    "signal": ["--dn", BO_DN, "--job", "job-1", "--kind", "suspend"],
+    "status": ["--dn", BO_DN, "--job", "job-1"],
+    "list": [],
+}
 
 
 @pytest.fixture
@@ -36,7 +48,8 @@ class TestPolicyCheck:
         p.write_text("&(count=1)\n")
         rc = main(["policy", "check", str(p)])
         assert rc == 1
-        assert "parse error" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"parse error: {p}: line 1: rule line before any subject\n"
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["policy", "check", str(tmp_path / "nope.policy")])
@@ -105,13 +118,27 @@ class TestPolicyEval:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize("case", ["missing-policy", "bad-policy", "bad-dn", "bad-jobowner",
-                                      "repeated-attribute"])
+    @pytest.mark.parametrize("case", [
+        "missing-policy", "bad-policy", "bad-dn", "bad-jobowner", "repeated-attribute",
+        *(f"{command} {fault}" for command in CLIENT_ARGS
+          for fault in ("missing-config", "no-server")),
+        "simulate missing-config"])
     def test_a_bad_input_is_one_error_line_and_exit_2(self, tmp_path, ref_config, capsys,
                                                        case):
         argv = ["policy", "eval", "--config", ref_config, "--dn", BO_DN,
                 "--action", "start", "--rsl", "&(executable=test1)"]
-        if case == "missing-policy":
+        command, _, fault = case.partition(" ")
+        # bound but not listening: a connection to it is refused
+        bound = socket.socket()
+        bound.bind(("127.0.0.1", 0))
+        endpoint = "127.0.0.1:%d" % bound.getsockname()[1]
+        if fault:
+            config = ref_config if fault == "no-server" else str(tmp_path / "missing.conf")
+            argv = [command, "--config", config,
+                    *CLIENT_ARGS.get(command, [str(FIXTURES / "scenarios" / "sc02.txt")])]
+            Path(ref_config).write_text(
+                Path(ref_config).read_text().replace("127.0.0.1:0", endpoint))
+        elif case == "missing-policy":
             (tmp_path / "local.policy").unlink()
         elif case == "bad-policy":
             (tmp_path / "vo.policy").write_text("&(count=1)\n")
@@ -122,9 +149,20 @@ class TestPolicyEval:
             argv += ["--jobowner", "bad"]
         else:  # as a SUBMIT of it would be refused
             argv[-1] = "&(executable=a)(executable=b)"
-        assert main(argv) == 2
+        with bound:
+            assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if fault == "no-server":
+            assert err.startswith(f"error: cannot reach the server at {endpoint}: ")
+
+    @pytest.mark.parametrize("name", ["local.policy", "vo.policy"])
+    def test_a_policy_error_names_its_document(self, tmp_path, ref_config, capsys, name):
+        (tmp_path / name).write_text("&(count=1)\n")
+        assert main(["policy", "eval", "--config", ref_config, "--dn", BO_DN,
+                     "--action", "start"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / name}: line 1: rule line before any subject\n"
 
 
 class TestSimulate:

@@ -17,7 +17,7 @@ from gridauthz.jobmanager import (
     UnknownJob,
 )
 from gridauthz.policy import parse_policy
-from gridauthz.rsl import apply_defaults, parse_rsl, to_job_description
+from gridauthz.rsl import read_job_description
 from gridauthz.service import replay_events
 
 from conftest import FIXTURES
@@ -341,8 +341,7 @@ def test_state_machine_safety_random_commands(ref_local, ref_vo, bo):
 
 def ticket(owner, rsl):
     """A permitted admission, without the gate and the callout."""
-    description = apply_defaults(to_job_description(parse_rsl(rsl)))
-    return AdmissionTicket("ticket", owner, "bliu", description, permit())
+    return AdmissionTicket("ticket", owner, "bliu", rsl, read_job_description(rsl), permit())
 
 
 def assert_live_set(jm):

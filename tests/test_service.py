@@ -12,12 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridauthz import callout, gatekeeper, jobmanager, policy, rsl as rsl_module
+from gridauthz import callout, checkpoint, gatekeeper, jobmanager, policy, rsl as rsl_module
 from gridauthz import service as service_module
 from gridauthz.callout import Callouts
 from gridauthz.jobmanager import JobManager, JobManagerConfig
 from gridauthz.policy import GridIdentity
-from gridauthz.rsl import JobDescription
 from gridauthz.service import (
     ConfigError,
     CorruptLog,
@@ -32,7 +31,8 @@ from gridauthz.service import (
     send_request,
 )
 
-from conftest import BO_DN, FIXTURES, KATE_DN, STRANGER_DN, make_service, write_service_tree
+from conftest import (BO_DN, FIXTURES, KATE_DN, STRANGER_DN, TOKEN_POOL, make_service,
+                      write_service_tree)
 
 PERMISSIVE = "/O=Grid:\n&(action != NULL)\n"
 REFERENCE = (FIXTURES / "reference.policy").read_text()
@@ -99,6 +99,24 @@ class TestServiceConfig:
         config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE, slots=slots)
         with pytest.raises(ConfigError, match="slots"):
             ServiceConfig.from_file(config)
+
+    @pytest.mark.parametrize("endpoint", [
+        "127.0.0.1:notaport", "127.0.0.1:", "127.0.0.1", ":7736", "7736",
+        "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:+80", "127.0.0.1:1_0",
+        "127.0.0.1:\u0663"])
+    def test_listen_endpoint_is_a_host_and_a_port(self, tmp_path, endpoint):
+        # int(port) would raise a bare ValueError in a client, or in a server
+        # that has already started
+        config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+        config.write_text(config.read_text().replace("127.0.0.1:0", endpoint))
+        with pytest.raises(ConfigError, match="listen_endpoint"):
+            ServiceConfig.from_file(config)
+
+    @pytest.mark.parametrize("endpoint", ["localhost:65535", "127.0.0.1:0", "::1:7736"])
+    def test_a_good_listen_endpoint_loads(self, tmp_path, endpoint):
+        config = write_service_tree(tmp_path, PERMISSIVE, PERMISSIVE)
+        config.write_text(config.read_text().replace("127.0.0.1:0", endpoint))
+        assert ServiceConfig.from_file(config).listen_endpoint == endpoint
 
 
 class TestProtocol:
@@ -245,7 +263,8 @@ def test_rsl_parsed_once_and_not_rendered_on_the_authorization_path(ref_svc, mon
                     return _fn(*args)
                 monkeypatch.setattr(module, name, counted)
     assert ref_svc.handle_request(BO_START) == "OK job-1 PENDING"
-    assert calls == {"parse_rsl": 1, "description_to_rsl": 1}  # the render is the event's
+    # the event log holds the text the request carried: nothing renders it back
+    assert calls == {"parse_rsl": 1}
     calls.clear()
     assert ref_svc.handle_request(f'CANCEL dn="{KATE_DN}" job="job-1"') == "OK job-1 CANCELED"
     assert calls == {}
@@ -253,6 +272,112 @@ def test_rsl_parsed_once_and_not_rendered_on_the_authorization_path(ref_svc, mon
         f'POLICY-EVAL dn="{KATE_DN}" action="start" rsl="&(executable=TRANSP)"')
     assert resp.startswith("OK ")
     assert calls == {"parse_rsl": 1}
+
+
+def test_no_job_rsl_is_rendered_back(tmp_path, monkeypatch):
+    # the text a SUBMIT carried is logged, checkpointed and restored as it is
+    def render(description):
+        raise AssertionError("a job's RSL was rendered back")
+
+    for module in (callout, checkpoint, gatekeeper, jobmanager, rsl_module, service_module):
+        if hasattr(module, "description_to_rsl"):
+            monkeypatch.setattr(module, "description_to_rsl", render)
+    config = ServiceConfig.from_file(write_service_tree(tmp_path, REFERENCE, REFERENCE))
+    live = Service(config)
+    answers = [live.handle_request(line) for line in (
+        BO_START,
+        f'SUBMIT dn="{KATE_DN}" rsl=" &( Executable = \\"TRANSP\\" )(jobtag=NFC)'
+        '(directory=/sandbox/test)"',
+        'TICK now="1"',
+        f'SIGNAL dn="{KATE_DN}" job="job-1" kind="suspend"',
+        f'STATUS dn="{KATE_DN}" job="job-2"',
+        f'POLICY-EVAL dn="{KATE_DN}" action="cancel" job="job-1"',
+        f'CANCEL dn="{KATE_DN}" job="job-1"')]
+    live.close()  # which writes the checkpoint
+    assert [" ".join(a.split()[:2]) for a in answers] == [
+        "OK job-1", "OK job-2", "OK time=1", "E-DENY LOCAL:", "OK job-2", "OK PERMIT",
+        "OK job-1"]
+    assert config.checkpoint_path.exists()
+    for _ in ("from the checkpoint", "from the logs alone"):
+        restarted = Service(config)
+        restarted.close()
+        assert restarted.warnings == []
+        assert restarted.jobmanager.snapshot() == live.jobmanager.snapshot()
+        assert [r.description for r in restarted.jobmanager.jobs.values()] == \
+            [r.description for r in live.jobmanager.jobs.values()]
+        config.checkpoint_path.unlink()
+
+
+def _any_case(draw, name):
+    return "".join(c.upper() if up else c
+                   for c, up in zip(name, draw(st.lists(st.booleans(), min_size=len(name),
+                                                        max_size=len(name)))))
+
+
+# any character a request line can carry inside quotes
+QUOTABLE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+                   max_size=8)
+
+
+@st.composite
+def start_rsl(draw):
+    """RSL text a SUBMIT may carry: attribute names in any case, blanks
+    around every token, bare, integer and quoted values (quotes and
+    backslashes escaped inside), with and without ``count``."""
+    def blank():
+        return draw(st.text(" \t\r", max_size=2))
+
+    def text_value():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(TOKEN_POOL))
+        return '"' + draw(QUOTABLE).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    single = {"executable": text_value(), "directory": text_value(),
+              "jobtag": text_value(), "count": str(draw(st.integers(1, 3))),
+              "maxtime": f'"{draw(st.integers(-2, 40))}"'}
+    names = draw(st.lists(st.sampled_from(sorted(single)), unique=True, min_size=1))
+    names += ["arguments"] * draw(st.integers(0, 2))  # multi-valued
+    clauses = [f"({blank()}{_any_case(draw, name)}{blank()}={blank()}"
+               f"{single[name] if name in single else text_value()}{blank()})"
+               for name in draw(st.permutations(names))]
+    return blank() + draw(st.sampled_from(["&", ""])) + blank() + blank().join(clauses)
+
+
+@pytest.fixture(scope="module")
+def rsl_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("rsl")
+    return root, ServiceConfig.from_file(write_service_tree(root, PERMISSIVE, PERMISSIVE))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(start_rsl(), min_size=1, max_size=4))
+@example(["&(executable=test2)(count=1)", ' ( EXECUTABLE = "a \\"b\\" c\\\\" )'])
+def test_a_job_keeps_the_rsl_text_it_was_submitted_with(rsl_tree, texts):
+    root, config = rsl_tree
+    for path in (config.audit_log_path, config.event_log_path, config.checkpoint_path):
+        path.unlink(missing_ok=True)
+    live = Service(config)
+    for n, text in enumerate(texts, 1):
+        assert live.handle_request(f"SUBMIT dn={_q(BO_DN)} rsl={_q(text)}") == \
+            f"OK job-{n} PENDING"
+    live.handle_request('TICK now="1"')
+    live.handle_request(f'CANCEL dn="{BO_DN}" job="job-1"')
+    live.close()
+    # the created record holds the field as the request line carried it
+    created = [line for line in config.event_log_path.read_bytes().decode().split("\n")
+               if " event=created " in line]
+    assert [line[line.index(" rsl=") + 5:] for line in created] == [_q(t) for t in texts]
+    assert [ev["rsl"] for ev in read_event_log(config.event_log_path)
+            if ev["event"] == "created"] == texts
+    for _ in ("from the checkpoint", "from the logs alone"):
+        restarted = Service(config)
+        restarted.close()
+        assert restarted.warnings == []
+        assert restarted.jobmanager.snapshot() == live.jobmanager.snapshot()
+        assert [r.rsl for r in restarted.jobmanager.jobs.values()] == texts
+        assert [r.description for r in restarted.jobmanager.jobs.values()] == \
+            [r.description for r in live.jobmanager.jobs.values()]
+        config.checkpoint_path.unlink()
 
 
 class TestReload:
@@ -314,6 +439,16 @@ class TestReload:
             assert service.handle_request("RELOAD").startswith("E-ERROR")
             # old documents still in force
             assert service.handle_request(BO_START) == "OK job-1 PENDING"
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("name", ["local.policy", "vo.policy"])
+    def test_a_reload_error_names_the_policy_document(self, tmp_path, name):
+        service = make_service(tmp_path, REFERENCE, REFERENCE)
+        try:
+            (tmp_path / name).write_text("&(executable=a)\n")
+            assert service.handle_request("RELOAD") == \
+                f"E-ERROR {tmp_path / name}: line 1: rule line before any subject"
         finally:
             service.close()
 
@@ -511,9 +646,10 @@ class TestLogIntegrity:
     @pytest.mark.parametrize("name, logged, corrupt, sequence", [
         ("events.log", "seq=1 time=0", 'seq=1 time="1_0"', 1),
         ("events.log", "seq=2 time=0", 'seq="+2" time=" 3"', 2),
-        ("events.log", 'priority="0" duration="10"', 'priority=" 7" duration="10"', 1),
-        # replay takes a job's duration from its RSL, not from this field
-        ("events.log", 'priority="0" duration="3"', 'priority="0_0" duration="3"', 2),
+        ("events.log", 'priority="0" rsl="&(executable=test2)',
+         'priority=" 7" rsl="&(executable=test2)', 1),
+        ("events.log", 'priority="0" rsl="&(executable=TRANSP)',
+         'priority="0_0" rsl="&(executable=TRANSP)', 2),
         ("events.log", 'value="2"', 'value="+2"', 6),
         ("events.log", "seq=7 time=2", "seq=7 time=\u0662", 7),
         ("audit.log", "seq=2 time=0", 'seq="+2" time=0', 2),
@@ -564,8 +700,8 @@ seq=7 time=2 requester={BO} action=signal job=job-1 decision=PERMIT reason="" re
 seq=8 time=6 requester={KATE} action=cancel job=job-1 decision=PERMIT reason="" ref="LOCAL#0@L2+VO#0@L2" source=PEP
 """
 SCENARIO_EVENTS = f"""\
-seq=1 time=0 job=job-1 event=created actor={BO} owner={BO} account="bliu" jobtag="NFC" priority="0" duration="10" rsl="&(executable = test2)(directory = /sandbox/test)(jobtag = NFC)(count = 1)"
-seq=2 time=0 job=job-2 event=created actor={KATE} owner={KATE} account="kkeahey" jobtag="NFC" priority="0" duration="3" rsl="&(executable = TRANSP)(directory = /sandbox/test)(jobtag = NFC)(maxtime = 3)(count = 1)"
+seq=1 time=0 job=job-1 event=created actor={BO} owner={BO} account="bliu" priority="0" rsl="&(executable=test2)(directory=/sandbox/test)(jobtag=NFC)(count=1)"
+seq=2 time=0 job=job-2 event=created actor={KATE} owner={KATE} account="kkeahey" priority="0" rsl="&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(maxtime=3)"
 seq=3 time=1 job=job-1 event=dispatched actor="scheduler"
 seq=4 time=1 job=job-2 event=dispatched actor="scheduler"
 seq=5 time=1 job=job-1 event=suspended actor={BO}
@@ -662,7 +798,7 @@ class TestReplay:
         service = Service(ServiceConfig.from_file(config))
         service.close()
         assert sorted(parsed) == texts
-        assert [r.spec for r in service.jobmanager.jobs.values()] == \
+        assert [r.rsl for r in service.jobmanager.jobs.values()] == \
             [texts[n % 3] for n in range(1, 13)]
 
     def test_replay_takes_jobtag_and_duration_from_the_rsl(self):
@@ -1016,10 +1152,12 @@ def test_answers_after_a_restart_match_live_answers(tmp_path):
             finished = [r for r in restarted.jobmanager.jobs.values()
                         if r.state in jobmanager.TERMINAL_STATES]
             assert len(finished) > 20
-            # restored jobs hold their logged RSL; jobs finished live their description
-            assert all(isinstance(r.spec, str) for r in finished)
-            assert all(isinstance(r.spec, JobDescription)
-                       for r in live.jobmanager.jobs.values())
+            # both hold the RSL text each SUBMIT carried; a live job also holds
+            # the description admission read, a restored one reads it when asked
+            assert [r.rsl for r in restarted.jobmanager.jobs.values()] == \
+                [r.rsl for r in live.jobmanager.jobs.values()]
+            assert all(r.parsed is None for r in finished)
+            assert all(r.parsed is not None for r in live.jobmanager.jobs.values())
             for job, owner in owners.items():
                 other = _q(BO_DN if owner == KATE_DN else KATE_DN)
                 for request in (
