@@ -8,7 +8,10 @@ the extended reference policy, then times:
 - a start with no checkpoint, ``Service(...)``, which counts the audit
   log and replays the event log; each of those two parts on its own;
 - the checkpoint write that ``Service.close`` does after such a start;
-- a start from that checkpoint, which replays nothing;
+- a start from that checkpoint, which replays nothing, and its parts: the
+  hash checks of the audit and event log prefixes, the digest of the
+  checkpoint's rows, and the load of the whole checkpoint, whose rest is
+  the decoding and entering of rows;
 - ``Service.close`` on a fresh service after 5000 live SUBMITs of the
   fixtures' permitted starts: the checkpoint write over jobs that were
   submitted live rather than restored.
@@ -21,6 +24,7 @@ replay of the same logs do not both give the live table.
 """
 
 import gc
+import json
 import random
 import sys
 import tempfile
@@ -31,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
+from gridauthz import checkpoint  # noqa: E402
 from gridauthz.jobmanager import JobManager, JobManagerConfig  # noqa: E402
 from gridauthz.service import (  # noqa: E402
     AuditLog, Service, ServiceConfig, read_event_log, replay_events)
@@ -87,6 +92,37 @@ def live_close_ms(work: Path, policy: str) -> tuple[float, Service]:
     return best * 1e3, service
 
 
+def checkpoint_parts_ms(config) -> dict[str, float]:
+    """The best of five times of each part of a load of the checkpoint at
+    ``config.checkpoint_path``, and of the whole load; the rows' decoding
+    and entering is what the load takes beyond the three hashes."""
+    path = config.checkpoint_path
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        rows_at = fh.tell()
+
+    def digest():
+        with open(path, "rb") as fh:
+            fh.seek(rows_at)
+            checkpoint._feed(checkpoint._hash(), fh)
+
+    def load():
+        jm = JobManager(None, JobManagerConfig(slots=config.slots))
+        checkpoint.load_checkpoint(path, config.audit_log_path, config.event_log_path, jm)
+
+    parts = {
+        "audit prefix": best_ms(lambda: checkpoint.Covered.check(config.audit_log_path,
+                                                                 header["audit"])),
+        "event prefix": best_ms(lambda: checkpoint.Covered.check(config.event_log_path,
+                                                                 header["events"])),
+        "row digest": best_ms(digest),
+        "load": best_ms(load),
+    }
+    parts["rows"] = parts["load"] - sum(parts[k] for k in ("audit prefix", "event prefix",
+                                                            "row digest"))
+    return parts
+
+
 def restarts_agree(live: Service) -> bool:
     """A start from the checkpoint ``live``'s close wrote, and a full replay
     of the same logs, both give ``live``'s job table."""
@@ -116,6 +152,7 @@ def main() -> int:
             read_event_log(events), JobManager(None, JobManagerConfig(slots=config.slots))))
         write_ms = best_ms(full.checkpoint)
         checkpointed_ms, restored = best_start_ms(config, lambda: None)
+        parts = checkpoint_parts_ms(config)
         close_ms, live = live_close_ms(work / "live", policy)
         live_agrees = restarts_agree(live)
     same = restored.jobmanager.snapshot() == full.jobmanager.snapshot()
@@ -124,7 +161,10 @@ def main() -> int:
           f"  start without a checkpoint {full_ms:.1f} ms (audit open {audit_ms:.1f} ms, "
           f"replay {replay_ms:.1f} ms)\n"
           f"  checkpoint write at close {write_ms:.1f} ms\n"
-          f"  start from the checkpoint {checkpointed_ms:.1f} ms\n"
+          f"  start from the checkpoint {checkpointed_ms:.1f} ms (load {parts['load']:.1f} ms: "
+          f"audit prefix {parts['audit prefix']:.1f} ms, event prefix "
+          f"{parts['event prefix']:.1f} ms, row digest {parts['row digest']:.1f} ms, "
+          f"rows {parts['rows']:.1f} ms)\n"
           f"  close after {JOBS} live SUBMITs (checkpoint write) {close_ms:.1f} ms")
     if full.warnings or restored.warnings or not same:
         print(f"the two starts differ: same table {same}, warnings "

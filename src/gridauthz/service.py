@@ -75,6 +75,12 @@ from .rsl import RslError, read_job_description
 
 # the longest request line the TCP server reads, newline included
 MAX_LINE = 64 * 1024
+# seconds a TCP connection may wait for its next request line before the
+# server closes it: an idle client would otherwise hold a thread forever
+IDLE_TIMEOUT_S = 300.0
+# TCP connections served at once; one over it gets one E-ERROR line and
+# is closed, since each connection holds a thread
+MAX_CONNECTIONS = 64
 
 
 class ConfigError(ValueError):
@@ -690,32 +696,57 @@ class Service:
     def serve_forever(self):
         host, port = self.config.listen_endpoint.rsplit(":", 1)
         service = self
+        connections = threading.BoundedSemaphore(MAX_CONNECTIONS)
 
         class Handler(socketserver.StreamRequestHandler):
             # TCP_NODELAY: a reply is one short write, which Nagle's algorithm
             # would hold back until the client acknowledges the previous one
             disable_nagle_algorithm = True
+            timeout = IDLE_TIMEOUT_S  # of each read and write on the connection
 
             def handle(self):
-                while True:
-                    raw = self.rfile.readline(MAX_LINE)
-                    if not raw:
-                        break
-                    if len(raw) == MAX_LINE and not raw.endswith(b"\n"):
-                        # too long: one reply, and read on from the next line
-                        while raw and not raw.endswith(b"\n"):
-                            raw = self.rfile.readline(MAX_LINE)
-                        response = f"E-SYNTAX request line longer than {MAX_LINE} bytes"
-                    else:
-                        try:
-                            response = service.handle_request(raw.decode("utf-8"))
-                        except UnicodeDecodeError as e:
-                            response = f"E-SYNTAX request is not UTF-8: {e.reason}"
-                    self.wfile.write((response + "\n").encode("utf-8"))
+                try:
+                    while True:
+                        raw = self.rfile.readline(MAX_LINE)
+                        if not raw:
+                            break
+                        if len(raw) == MAX_LINE and not raw.endswith(b"\n"):
+                            # too long: one reply, and read on from the next line
+                            while raw and not raw.endswith(b"\n"):
+                                raw = self.rfile.readline(MAX_LINE)
+                            response = f"E-SYNTAX request line longer than {MAX_LINE} bytes"
+                        else:
+                            try:
+                                response = service.handle_request(raw.decode("utf-8"))
+                            except UnicodeDecodeError as e:
+                                response = f"E-SYNTAX request is not UTF-8: {e.reason}"
+                        self.wfile.write((response + "\n").encode("utf-8"))
+                except (TimeoutError, ConnectionError):
+                    pass  # an idle client, or one that went away: close quietly
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
+
+            def process_request(self, request, client_address):
+                if not connections.acquire(blocking=False):
+                    try:
+                        request.sendall(b"E-ERROR too many connections\n")
+                    except OSError:
+                        pass  # the client is gone already
+                    self.shutdown_request(request)
+                    return
+                try:
+                    super().process_request(request, client_address)
+                except BaseException:
+                    connections.release()  # no thread was started to release it
+                    raise
+
+            def process_request_thread(self, request, client_address):
+                try:
+                    super().process_request_thread(request, client_address)
+                finally:
+                    connections.release()
 
         with Server((host, int(port)), Handler) as server:
             self._server = server

@@ -2,8 +2,10 @@
 the state a full replay gives, and a checkpoint that does not hold is
 ignored with a warning."""
 
+import hashlib
 import json
 import random
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -383,6 +385,103 @@ def test_a_checkpoint_of_another_version_is_stale(tmp_path):
     state, warnings = _start(tmp_path)
     assert len(warnings) == 1 and f"version {VERSION - 1}" in warnings[0]
     assert state == _full_replay(tmp_path)
+
+
+def _written_as(root, data: bytes, version: int, new_hash) -> bytes:
+    """The checkpoint ``data`` as a writer of format ``version`` that hashes
+    with ``new_hash`` would write it: same rows, same coverage of the logs
+    in ``root``, its own version, prefix hashes and digest."""
+    head, rows = data.split(b"\n", 1)
+    header = json.loads(head)
+    del header["digest"]
+    header["version"] = version
+    for key, log in (("audit", "audit.log"), ("events", "events.log")):
+        sequence, offset, _ = header[key]
+        header[key] = [sequence, offset, new_hash((root / log).read_bytes()[:offset]).hexdigest()]
+    digest = new_hash(json.dumps(header, sort_keys=True).encode() + rows).hexdigest()
+    return json.dumps({**header, "digest": digest}, sort_keys=True).encode() + b"\n" + rows
+
+
+def test_a_version_2_checkpoint_is_stale_and_close_writes_version_3(tmp_path):
+    _live(tmp_path, 40, 40)
+    path = _config(tmp_path).checkpoint_path
+    data = path.read_bytes()
+    # _written_as gives what write_checkpoint writes; version 2 hashed with SHA-256
+    assert _written_as(tmp_path, data, 3, lambda b: hashlib.blake2b(b, digest_size=32)) == data
+    path.write_bytes(_written_as(tmp_path, data, 2, hashlib.sha256))
+    state, warnings = _start(tmp_path)
+    assert len(warnings) == 1 and "stale checkpoint" in warnings[0] and "version 2" in warnings[0]
+    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["version"] == 3  # close wrote it
+    assert _start(tmp_path) == (state, [])
+    assert state == _full_replay(tmp_path)
+
+
+def _unknown_state(line: bytes) -> bytes:
+    return re.sub(rb'^(\["job-[0-9]+", )"[A-Z]+"', rb'\1"LOST"', line)
+
+
+def _other_creation_time(line: bytes) -> bytes:
+    # still a row that restores: one digit of the creation time changed
+    at = line.index(b', "created"') - 1
+    return line[:at] + bytes([ord("0") + (line[at] - ord("0") + 1) % 10]) + line[at + 1:]
+
+
+def _cut_short(line: bytes) -> bytes:
+    return line[: len(line) // 2]
+
+
+# (which row, what is done to it)
+BAD_ROW = {"middle-unknown-state": (0.5, _unknown_state),
+           "last-unknown-state": (1, _unknown_state),
+           "last-row-altered": (1, _other_creation_time),
+           "last-row-cut-short": (1, _cut_short)}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROW))
+def test_a_bad_row_gives_the_full_replay_state(tmp_path, case):
+    _live(tmp_path, 60, 60)
+    path = _config(tmp_path).checkpoint_path
+    head, *rows = path.read_bytes().splitlines(keepends=True)
+    where, damage = BAD_ROW[case]
+    at = min(int(where * len(rows)), len(rows) - 1)
+    assert 0 < at and rows[at] != damage(rows[at])
+    rows[at] = damage(rows[at])
+    # a first row that restores, of a job the logs do not hold: it would
+    # show if the table kept any row of this checkpoint
+    assert rows[0].startswith(b'["job-1", ')
+    rows[0] = b'["job-0", ' + rows[0][len(b'["job-1", '):]
+    path.write_bytes(head + b"".join(rows))
+    state, warnings = _start(tmp_path)
+    assert len(warnings) == 1 and "stale checkpoint" in warnings[0], warnings
+    assert "job-0" not in [job[0] for _, job in state[3]]
+    assert state == _full_replay(tmp_path)
+
+
+def test_a_checkpoint_write_cut_anywhere_gives_the_full_replay_state(tmp_path):
+    # an older checkpoint, then records it does not cover
+    _live(tmp_path, 50, 25)
+    path = _config(tmp_path).checkpoint_path
+    tmp = path.with_name(path.name + ".tmp")
+    older = path.read_bytes()
+    full = _full_replay(tmp_path)
+    whole = path.read_bytes()  # the checkpoint a close over these logs writes
+    assert whole != older
+    boundaries = [0] + [at + 1 for at in range(len(whole) - 1) if whole[at] == ord("\n")]
+    rng = random.Random(25)
+    cuts = sorted(set(boundaries) | {rng.randrange(len(whole)) for _ in range(50)})
+    assert len(boundaries) > 10 and len(cuts) >= len(boundaries) + 40
+    for cut in cuts:
+        # the rename happened but the disk kept only part of the file
+        path.write_bytes(whole[:cut])
+        state, warnings = _start(tmp_path)
+        assert len(warnings) == 1 and "stale checkpoint" in warnings[0], (cut, warnings)
+        assert state == full, cut
+        # the write stopped before its rename: the older checkpoint is still there
+        path.write_bytes(older)
+        tmp.write_bytes(whole[:cut])
+        state, warnings = _start(tmp_path)
+        assert len(warnings) == 1 and "did not finish" in warnings[0], (cut, warnings)
+        assert state == full and not tmp.exists(), cut
 
 
 # -- a corrupt log record is met at the same sequence either way --------------

@@ -3,10 +3,12 @@ import random
 import re
 import shlex
 import socket
+import struct
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import pytest
@@ -844,7 +846,13 @@ class TestReplay:
 
 @pytest.fixture
 def served(tmp_path):
-    """A service listening on a loopback port; yields (host, port)."""
+    with serving(tmp_path) as address:
+        yield address
+
+
+@contextmanager
+def serving(tmp_path):
+    """A service listening on a loopback port; gives (host, port)."""
     service = make_service(tmp_path, PERMISSIVE, PERMISSIVE)
     thread = threading.Thread(target=service.serve_forever, daemon=True)
     thread.start()
@@ -907,6 +915,62 @@ def test_tcp_out_of_grammar_line_keeps_connection(served):
         stream.flush()
         assert stream.readline().startswith(b"E-SYNTAX ")
         assert stream.readline() == b"OK\n"
+
+
+def _request(sock, line: bytes = b"LIST\n") -> bytes:
+    stream = sock.makefile("rwb")
+    stream.write(line)
+    stream.flush()
+    return stream.readline()
+
+
+def _wait_for_threads(count: int):
+    """Wait until at most ``count`` threads run: a handler has ended."""
+    for _ in range(500):
+        if threading.active_count() <= count:
+            return
+        threading.Event().wait(0.01)
+    raise AssertionError(f"{threading.active_count()} threads still run")
+
+
+def test_tcp_idle_connection_is_closed_quietly(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(service_module, "IDLE_TIMEOUT_S", 0.2)  # read when serving starts
+    with serving(tmp_path) as address:
+        with socket.create_connection(address, timeout=10) as idle:
+            assert idle.recv(1) == b""  # closed by the server, with no reply
+        with socket.create_connection(address, timeout=10) as sock:
+            assert _request(sock) == b"OK\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_tcp_client_that_goes_away_ends_its_connection_quietly(served, capsys):
+    threads = threading.active_count()
+    with socket.create_connection(served, timeout=10) as gone:
+        assert _request(gone) == b"OK\n"
+        gone.sendall(b"LIST\n" * 2000)
+        # close with a reset: the server's next read or write fails
+        gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    _wait_for_threads(threads)
+    with socket.create_connection(served, timeout=10) as sock:
+        assert _request(sock) == b"OK\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_tcp_connection_over_the_bound_gets_one_error_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 3)  # read when serving starts
+    with serving(tmp_path) as address, ExitStack() as stack:
+        threads = threading.active_count()
+        clients = [stack.enter_context(socket.create_connection(address, timeout=10))
+                   for _ in range(3)]
+        assert [_request(c) for c in clients] == [b"OK\n"] * 3
+        with socket.create_connection(address, timeout=10) as over:
+            assert over.makefile("rb").read() == b"E-ERROR too many connections\n"
+        assert [_request(c) for c in clients] == [b"OK\n"] * 3
+        clients.pop().close()
+        _wait_for_threads(threads + 2)
+        with socket.create_connection(address, timeout=10) as fifth:
+            assert _request(fifth) == b"OK\n"
+        assert [_request(c) for c in clients] == [b"OK\n"] * 2
 
 
 # -- the key=value reader against shlex -----------------------------------
