@@ -150,7 +150,7 @@ def load_checkpoint(path: Path, audit_path, event_path, jm: JobManager):
     hashes and enters each row; returns the coverage of the audit and event
     logs.  Raises StaleCheckpoint (or the error met while reading) for a
     checkpoint that does not hold, with ``jm`` then partly filled."""
-    jobs, live, owners = jm.jobs, jm._live, jm._owners
+    jobs, live = jm.jobs, jm._live
     with open(path, "rb") as fh:
         line = fh.readline()
         header = json.loads(line)
@@ -167,7 +167,7 @@ def load_checkpoint(path: Path, audit_path, event_path, jm: JobManager):
                 _decode_row(raw.decode())[0]
             triples = iter(history)
             record = jobs[job_id] = JobRecord(
-                job_id, owners.get(owner) or jm._owner(owner), account, jobtag, rsl,
+                job_id, jm._owner(owner), account, jobtag, rsl,
                 _STATES[state], priority, duration, started_at, ended_at,
                 # event names and actors repeat from job to job: one copy of each
                 [HistoryEvent(time, intern(event), intern(actor))

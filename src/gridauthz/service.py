@@ -75,11 +75,16 @@ from .rsl import RslError, read_job_description
 
 # the longest request line the TCP server reads, newline included
 MAX_LINE = 64 * 1024
-# seconds a TCP connection may wait for its next request line before the
-# server closes it: an idle client would otherwise hold a thread forever
-IDLE_TIMEOUT_S = 300.0
-# TCP connections served at once; one over it gets one E-ERROR line and
-# is closed, since each connection holds a thread
+# seconds a TCP connection may wait for its first or next request line
+# before the server closes it, so that silent clients cannot hold the
+# connections below for long.  send_request writes its line as soon as it
+# connects and gives up after 10 s; perfbench's wire client sends about
+# 100 lines a second on each of its two connections
+IDLE_TIMEOUT_S = 10.0
+# TCP connections served at once, each on its own thread; one over it gets
+# one E-ERROR line and is closed.  Requests are served one at a time under
+# Service._lock, so more connections add waiting, not throughput; 64 is 32
+# times the two that the wire client holds
 MAX_CONNECTIONS = 64
 
 
@@ -702,7 +707,9 @@ class Service:
             # TCP_NODELAY: a reply is one short write, which Nagle's algorithm
             # would hold back until the client acknowledges the previous one
             disable_nagle_algorithm = True
-            timeout = IDLE_TIMEOUT_S  # of each read and write on the connection
+            # of each read and write on the connection; in timeout mode the
+            # socket polls before each one, about 1 us a request
+            timeout = IDLE_TIMEOUT_S
 
             def handle(self):
                 try:

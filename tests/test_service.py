@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import random
 import re
 import shlex
@@ -934,10 +935,19 @@ def _wait_for_threads(count: int):
 
 
 def test_tcp_idle_connection_is_closed_quietly(tmp_path, monkeypatch, capsys):
+    # silent connections hold the bound no longer than send_request waits
+    assert service_module.IDLE_TIMEOUT_S <= \
+        inspect.signature(send_request).parameters["timeout"].default
     monkeypatch.setattr(service_module, "IDLE_TIMEOUT_S", 0.2)  # read when serving starts
-    with serving(tmp_path) as address:
-        with socket.create_connection(address, timeout=10) as idle:
-            assert idle.recv(1) == b""  # closed by the server, with no reply
+    monkeypatch.setattr(service_module, "MAX_CONNECTIONS", 3)
+    with serving(tmp_path) as address, ExitStack() as stack:
+        threads = threading.active_count()
+        idle = [stack.enter_context(socket.create_connection(address, timeout=10))
+                for _ in range(3)]
+        with socket.create_connection(address, timeout=10) as over:
+            assert over.makefile("rb").read() == b"E-ERROR too many connections\n"
+        assert [s.recv(1) for s in idle] == [b""] * 3  # closed by the server, with no reply
+        _wait_for_threads(threads)
         with socket.create_connection(address, timeout=10) as sock:
             assert _request(sock) == b"OK\n"
     assert capsys.readouterr().err == ""
