@@ -1,5 +1,6 @@
 """Time a service start over the logs of 5000 finished jobs, with and
-without a checkpoint, and a close after 5000 live SUBMITs.
+without a checkpoint, the requests and close after a start from the
+checkpoint, and a close after 5000 live SUBMITs.
 
 Writes the audit and event logs of the benchmark's ``job-churn`` set-up
 (``perfbench/gen.py``'s ``write_restart_log``, seed 1, 5000 jobs) next to
@@ -11,7 +12,13 @@ the extended reference policy, then times:
 - a start from that checkpoint, which replays nothing, and its parts: the
   hash checks of the audit and event log prefixes, the digest of the
   checkpoint's rows, and the load of the whole checkpoint, whose rest is
-  the decoding and entering of rows;
+  the entering of rows (a finished job's row is entered as its bytes);
+- what the service holds under tracemalloc after that start, and once
+  ``snapshot()`` has built every restored job;
+- ``Service.close`` after that start and 100 live SUBMITs: the new jobs
+  are rendered, every restored row is copied as it was read;
+- a STATUS by its owner of each of the first 1000 restored jobs, the
+  first read of each, which builds its record, and then a second one;
 - ``Service.close`` on a fresh service after 5000 live SUBMITs of the
   fixtures' permitted starts: the checkpoint write over jobs that were
   submitted live rather than restored.
@@ -29,6 +36,7 @@ import random
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +51,8 @@ from gridauthz.service import (  # noqa: E402
 SEED = 1
 JOBS = 5000
 PASSES = 5
+LIVE_SUBMITS = 100  # before the close after a start from the checkpoint
+READS = 1000  # restored jobs named by a STATUS
 
 
 def best_ms(work, prepare=lambda: None) -> float:
@@ -123,6 +133,65 @@ def checkpoint_parts_ms(config) -> dict[str, float]:
     return parts
 
 
+def put_back(saved: dict[Path, bytes]):
+    for path, data in saved.items():
+        path.write_bytes(data)
+
+
+def held_mib(config) -> tuple[float, float]:
+    """The MiB a start from the checkpoint holds under tracemalloc, and
+    the MiB it holds once ``snapshot()`` has built every job."""
+    tracemalloc.start()
+    try:
+        service = Service(config)
+        as_rows = tracemalloc.get_traced_memory()[0]
+        service.jobmanager.snapshot()
+        built = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    service.close()
+    return as_rows / 2**20, built / 2**20
+
+
+def restored_close_ms(config, saved) -> float:
+    """The best of five ``close()`` times, each after a start from the
+    checkpoint and LIVE_SUBMITS SUBMITs; the files are put back between."""
+    best = float("inf")
+    for _ in range(PASSES):
+        put_back(saved)
+        service = Service(config)
+        rng = random.Random(SEED)
+        for _ in range(LIVE_SUBMITS):
+            owner, rsl, _, _ = gen.fixture_start(rng)
+            assert service.handle_request(gen.submit_line(owner, rsl)).startswith("OK ")
+        gc.collect()
+        t0 = time.perf_counter()
+        service.close()
+        best = min(best, time.perf_counter() - t0)
+    put_back(saved)
+    return best * 1e3
+
+
+def status_us(config, saved, owners: dict[str, str]) -> tuple[float, float]:
+    """The mean time of a STATUS by its owner of each job in ``owners``,
+    read first after a start from the checkpoint, then read again; each
+    the best of five starts, the files put back between."""
+    lines = [f"STATUS dn={gen.q(dn)} job={gen.q(job)}" for job, dn in owners.items()]
+    best = [float("inf")] * 2
+    for _ in range(PASSES):
+        put_back(saved)
+        service = Service(config)
+        for n in range(2):
+            gc.collect()
+            t0 = time.perf_counter()
+            for line in lines:
+                assert service.handle_request(line).startswith("OK ")
+            best[n] = min(best[n], time.perf_counter() - t0)
+        service.close()
+    put_back(saved)
+    return best[0] / len(lines) * 1e6, best[1] / len(lines) * 1e6
+
+
 def restarts_agree(live: Service) -> bool:
     """A start from the checkpoint ``live``'s close wrote, and a full replay
     of the same logs, both give ``live``'s job table."""
@@ -153,6 +222,12 @@ def main() -> int:
         write_ms = best_ms(full.checkpoint)
         checkpointed_ms, restored = best_start_ms(config, lambda: None)
         parts = checkpoint_parts_ms(config)
+        saved = {path: path.read_bytes() for path in (audit, events, config.checkpoint_path)}
+        rows_mib, built_mib = held_mib(config)
+        restored_ms = restored_close_ms(config, saved)
+        owners = {job: full.jobmanager.jobs[job].owner.render()
+                  for job in list(full.jobmanager.jobs)[:READS]}
+        first_us, again_us = status_us(config, saved, owners)
         close_ms, live = live_close_ms(work / "live", policy)
         live_agrees = restarts_agree(live)
     same = restored.jobmanager.snapshot() == full.jobmanager.snapshot()
@@ -165,6 +240,11 @@ def main() -> int:
           f"audit prefix {parts['audit prefix']:.1f} ms, event prefix "
           f"{parts['event prefix']:.1f} ms, row digest {parts['row digest']:.1f} ms, "
           f"rows {parts['rows']:.1f} ms)\n"
+          f"  held after that start {rows_mib:.2f} MiB under tracemalloc, "
+          f"{built_mib:.2f} MiB once every job is built\n"
+          f"  close after that start and {LIVE_SUBMITS} live SUBMITs {restored_ms:.1f} ms\n"
+          f"  STATUS of each of {READS} restored jobs {first_us:.1f} us the first time "
+          f"(a build), {again_us:.1f} us the next\n"
           f"  close after {JOBS} live SUBMITs (checkpoint write) {close_ms:.1f} ms")
     if full.warnings or restored.warnings or not same:
         print(f"the two starts differ: same table {same}, warnings "

@@ -8,12 +8,19 @@ offset; its digest, also BLAKE2b-256, covers its other fields and every
 row.  A start loads a checkpoint only if all of that holds, then replays
 just the records after the offsets.  Any other checkpoint is stale: the
 logs are the record of truth, so the start replays them whole and says so.
+
+A load builds each live job's record and keeps a finished job's row as
+the bytes read until the job is first read; a write copies a row never
+built back as it was.  The header clock, the latest event time of any job,
+is the larger of the loaded clock, which no unbuilt row's history passes,
+and the built jobs' latest time.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -34,9 +41,11 @@ _HASH_CHUNK = 1 << 16
 # what json.loads does per row less its checks of input type and trailing
 # text: the digest checks a row's text, and no table is used before it has
 _decode_row = json.JSONDecoder().raw_decode
-# a row's state by its value, and the values of the states a job leaves
+# a row's state by its value
 _STATES = {state.value: state for state in JobState}
-_FINISHED = {state.value for state in TERMINAL_STATES}
+# the id of a finished job's row, as ``row`` writes it; an id that JSON
+# escapes does not match, and its row is built at load like a live one's
+_finished_row = re.compile(rb'\["([^"\\]*)", "(?:DONE|CANCELED)", ').match
 _hash = partial(blake2b, digest_size=32)  # BLAKE2b-256
 
 
@@ -117,13 +126,12 @@ def write_checkpoint(path: Path, jm: JobManager, audit: Covered, events: Covered
     """Write ``jm``'s table row by row to a temporary file, then rename it
     over ``path``.  No fsync: a checkpoint the disk did not keep whole
     fails its digest, and the start that meets it replays the logs."""
-    jobs = jm.jobs.values()
+    held = jm.jobs.held()
     header = {
         "version": VERSION,
-        # the clock a replay of the covered events ends at: a live TICK
-        # that changed nothing moved the clock of the table written at
-        # close but logged no event
-        "clock": max(0, max((h.time for r in jobs for h in r.history), default=0)),
+        # not jm.clock: a live TICK that changed nothing logged no event
+        "clock": max(jm.jobs.rows_clock, max((h.time for r in held if r.__class__ is not bytes
+                                              for h in r.history), default=0)),
         "next_id": jm._next_id,
         "audit": audit.entry(),
         "events": events.entry(),
@@ -133,8 +141,9 @@ def write_checkpoint(path: Path, jm: JobManager, audit: Covered, events: Covered
     try:
         with open(tmp, "wb") as fh:
             fh.write(_header_line(header, "0" * sha.digest_size * 2))
-            for record in jobs:
-                line = json.dumps(row(record)).encode() + b"\n"
+            for record in held:
+                line = record if record.__class__ is bytes else \
+                    json.dumps(row(record)).encode() + b"\n"
                 sha.update(line)
                 fh.write(line)
             fh.seek(0)  # the real digest is as long as the placeholder
@@ -145,11 +154,27 @@ def write_checkpoint(path: Path, jm: JobManager, audit: Covered, events: Covered
         raise
 
 
+def _restore(jm: JobManager, raw: bytes, job_id: str | None = None) -> JobRecord:
+    """The job of one checkpoint row, with its owner shared through ``jm``;
+    a given ``job_id`` (the table's key) is used for its id, not a copy."""
+    (row_id, state, owner, account, jobtag, rsl, priority, duration,
+     started_at, ended_at, active_time, active_since, history) = _decode_row(raw.decode())[0]
+    triples = iter(history)
+    return JobRecord(
+        job_id or row_id, jm._owner(owner), account, jobtag, rsl,
+        _STATES[state], priority, duration, started_at, ended_at,
+        # event names and actors repeat from job to job: one copy of each
+        [HistoryEvent(time, intern(event), intern(actor))
+         for time, event, actor in zip(triples, triples, triples)],
+        active_time, active_since)
+
+
 def load_checkpoint(path: Path, audit_path, event_path, jm: JobManager):
     """Fill the empty ``jm`` from the checkpoint at ``path`` in one pass that
     hashes and enters each row; returns the coverage of the audit and event
-    logs.  Raises StaleCheckpoint (or the error met while reading) for a
-    checkpoint that does not hold, with ``jm`` then partly filled."""
+    logs; a finished job's row is entered as it was read.  Raises
+    StaleCheckpoint (or the error met while reading) for a checkpoint that
+    does not hold, with ``jm`` then partly filled."""
     jobs, live = jm.jobs, jm._live
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -162,20 +187,16 @@ def load_checkpoint(path: Path, audit_path, event_path, jm: JobManager):
         sha = _hash(_canonical(header))
         for raw in fh:
             sha.update(raw)
-            (job_id, state, owner, account, jobtag, rsl, priority, duration,
-             started_at, ended_at, active_time, active_since, history) = \
-                _decode_row(raw.decode())[0]
-            triples = iter(history)
-            record = jobs[job_id] = JobRecord(
-                job_id, jm._owner(owner), account, jobtag, rsl,
-                _STATES[state], priority, duration, started_at, ended_at,
-                # event names and actors repeat from job to job: one copy of each
-                [HistoryEvent(time, intern(event), intern(actor))
-                 for time, event, actor in zip(triples, triples, triples)],
-                active_time, active_since)
-            if state not in _FINISHED:
-                live[job_id] = record
+            finished = _finished_row(raw)
+            if finished:
+                jobs[finished[1].decode()] = raw
+            else:
+                record = _restore(jm, raw)
+                jobs[record.job_id] = record
+                if record.state not in TERMINAL_STATES:
+                    live[record.job_id] = record
     if sha.hexdigest() != digest:
         raise StaleCheckpoint("digest does not match")
+    jobs.build, jobs.rows_clock = partial(_restore, jm), header["clock"]
     jm._next_id, jm.clock = header["next_id"], header["clock"]
     return audit, events

@@ -9,6 +9,7 @@ from the dispatch/resume timestamps so completion instants are exact.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -142,6 +143,47 @@ class JobRecord:
         }
 
 
+class JobTable(Mapping):
+    """Every job ever created, by id, in creation order (id order).  A job
+    restored finished is held as its checkpoint row, one line of bytes,
+    until a read builds its JobRecord with ``build`` for good; ``build`` is
+    None once no row can be left.  ``held`` gives each job as held; no held
+    row's history goes past ``rows_clock``."""
+
+    def __init__(self):
+        self._held: dict[str, JobRecord | bytes] = {}
+        self.build = None
+        self.rows_clock = 0
+
+    def __getitem__(self, job_id: str) -> JobRecord:
+        record = self._held[job_id]
+        if record.__class__ is bytes:
+            record = self._held[job_id] = self.build(record, job_id)
+        return record
+
+    def __setitem__(self, job_id: str, record: JobRecord | bytes):
+        self._held[job_id] = record
+
+    def __iter__(self):
+        return iter(self._held)
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def values(self):
+        """Every job's record, any row left built first, as a dict view."""
+        if self.build is not None:
+            held = self._held
+            for job_id, record in held.items():
+                if record.__class__ is bytes:
+                    held[job_id] = self.build(record, job_id)
+            self.build = None  # no row is left to build
+        return self._held.values()
+
+    def held(self):
+        return self._held.values()
+
+
 @dataclass
 class JobManagerConfig:
     slots: int = 1
@@ -170,7 +212,7 @@ class JobManager:
         # OrderedDict because its iteration follows a linked list of the
         # jobs in it: a dict's walks every slot that a finished job left
         # behind, until the dict happens to resize.
-        self.jobs: dict[str, JobRecord] = {}
+        self.jobs = JobTable()
         self._live: OrderedDict[str, JobRecord] = OrderedDict()
         # one identity per owner DN, shared by all of that owner's jobs
         self._owners: dict[str, GridIdentity] = {}
@@ -231,10 +273,10 @@ class JobManager:
         return owner
 
     def _get(self, job_id: str) -> JobRecord:
-        record = self.jobs.get(job_id)
-        if record is None:
-            raise UnknownJob(job_id)
-        return record
+        try:
+            return self.jobs[job_id]
+        except KeyError:
+            raise UnknownJob(job_id) from None
 
     def _active_count(self) -> int:
         return sum(1 for r in self._live.values() if r.state is JobState.ACTIVE)

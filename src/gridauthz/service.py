@@ -657,9 +657,7 @@ class Service:
             req = AuthorizationRequest(requester, "start", read_job_description(rsl_text))
         elif action in MANAGEMENT_ACTIONS:
             (job_id,) = self._need(fields, "job")
-            record = self.jobmanager.jobs.get(job_id)
-            if record is None:
-                raise UnknownJob(job_id)
+            record = self.jobmanager._get(job_id)
             req = AuthorizationRequest(
                 requester, action, record.description,
                 JobContext(job_id, record.owner, record.jobtag,

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridauthz import service as service_module
+from gridauthz import checkpoint as checkpoint_module, service as service_module
 from gridauthz.checkpoint import VERSION, row
+from gridauthz.jobmanager import TERMINAL_STATES, JobRecord
 from gridauthz.service import CorruptLog, Service, ServiceConfig, _q
 
 from conftest import BO_DN, KATE_DN, write_service_tree
@@ -311,6 +313,123 @@ def test_a_start_from_a_checkpoint_holds_no_more_than_the_table(tmp_path):
     assert peak <= 1.2 * retained, (peak, retained)
     # a hash chunk, file buffers and one row; the text is over three times that
     assert write_peak - after < 100_000 < service.config.checkpoint_path.stat().st_size / 3
+
+
+def test_a_restored_table_holds_its_finished_jobs_as_rows(tmp_path):
+    config = write_service_tree(tmp_path, REF_EXTENDED, REF_EXTENDED)
+    _perfbench_gen().write_restart_log(
+        random.Random(1), tmp_path / "audit.log", tmp_path / "events.log", 1000)
+    Service(ServiceConfig.from_file(config)).close()
+    tracemalloc.start()
+    try:
+        service = Service(ServiceConfig.from_file(config))
+        as_rows = tracemalloc.get_traced_memory()[0]
+        service.jobmanager.snapshot()  # builds every job
+        built = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        service.close()
+    assert as_rows <= 0.7 * built, (as_rows, built)
+
+
+# -- a finished job stays its row until something reads it --------------------
+
+
+def _unbuilt(service: Service) -> list[str]:
+    """The ids of the jobs the table still holds as checkpoint rows."""
+    jobs = service.jobmanager.jobs
+    return [job for job, held in zip(jobs, jobs.held()) if held.__class__ is bytes]
+
+
+def _owners_after_a_close(root: Path, finish_all: bool) -> dict[str, str]:
+    """Drive a seeded mix and close, which writes a checkpoint; with
+    ``finish_all``, each owner first cancels every job still live.
+    Returns each admitted job's owner."""
+    root.mkdir(exist_ok=True)
+    write_service_tree(root, REF_EXTENDED, REF_EXTENDED)
+    live = Service(_config(root))
+    owners = _drive_restart_mix(live, random.Random(5), 120)
+    if finish_all:
+        for job in live.jobmanager._live.copy():
+            assert live.handle_request(f'CANCEL dn={_q(owners[job])} job="{job}"') == \
+                f"OK {job} CANCELED"
+    live.close()
+    return owners
+
+
+def test_a_finished_row_is_built_when_read_and_reads_as_replayed(tmp_path):
+    lazy_root, full_root = tmp_path / "lazy", tmp_path / "full"
+    owners = _owners_after_a_close(lazy_root, finish_all=False)
+    shutil.copytree(lazy_root, full_root)
+    _config(full_root).checkpoint_path.unlink()
+    lazy, full = Service(_config(lazy_root)), Service(_config(full_root))
+    try:
+        assert lazy.warnings == full.warnings == []
+        finished = [job for job, r in full.jobmanager.jobs.items()
+                    if r.state in TERMINAL_STATES]
+        states = {r.state for r in full.jobmanager.jobs.values()}
+        assert len(states & TERMINAL_STATES) == 2 and states - TERMINAL_STATES
+        # before any request: every finished job a row, every live one built
+        assert _unbuilt(lazy) == finished
+        assert all(type(lazy.jobmanager.jobs[job]) is JobRecord
+                   for job in lazy.jobmanager._live)
+
+        def reads(job):
+            owner, other = _q(owners[job]), BO if owners[job] == KATE_DN else KATE
+            return [f'STATUS dn={owner} job="{job}"',
+                    f'CANCEL dn={owner} job="{job}"',
+                    f'SIGNAL dn={other} job="{job}" kind="priority" value="3"',
+                    f'POLICY-EVAL dn={other} action="information" job="{job}"']
+
+        # each kind of request is the first read of some job
+        first, rest = finished[:8], finished[8:]
+        assert rest
+        for n, job in enumerate(first):
+            lines = reads(job)
+            for line in lines[n % 4:] + lines[:n % 4]:
+                answer = lazy.handle_request(line)
+                assert answer == full.handle_request(line), line
+                if line.startswith("CANCEL"):
+                    assert answer.startswith("E-TRANSITION"), answer
+        assert _unbuilt(lazy) == rest
+        for line in ['LIST jobtag="NFC"', "LIST", 'LIST jobtag="ADS"']:
+            assert lazy.handle_request(line) == full.handle_request(line), line
+        assert _unbuilt(lazy) == []
+        assert _state(lazy) == _state(full)
+    finally:
+        lazy.close()
+        full.close()
+
+
+@pytest.mark.parametrize("admitted", [True, False], ids=["admitted", "denied"])
+def test_a_close_copies_each_unread_row_as_it_was_loaded(tmp_path, monkeypatch, admitted):
+    # every job finished, so only rows hold the latest event time
+    _owners_after_a_close(tmp_path, finish_all=True)
+    path = _config(tmp_path).checkpoint_path
+    loaded = path.read_bytes().splitlines(keepends=True)[1:]
+    service = Service(_config(tmp_path))
+    untouched = _unbuilt(service)
+    assert untouched == list(service.jobmanager.jobs) and not service.jobmanager._live
+    rsl = RSLS[1] if admitted else RSLS[4]
+    for _ in range(10):
+        assert service.handle_request(f"SUBMIT dn={BO} rsl={_q(rsl)}").startswith(
+            "OK " if admitted else "E-DENY")
+    rendered = []
+    monkeypatch.setattr(checkpoint_module, "row",
+                        lambda record: rendered.append(record.job_id) or row(record))
+    service.close()
+    assert len(rendered) == (10 if admitted else 0)  # only the new jobs are rendered
+    monkeypatch.undo()
+    written = path.read_bytes()
+    rows = {json.loads(line)[0]: line for line in written.splitlines(keepends=True)[1:]}
+    assert [rows[job] for job in untouched] == loaded
+    assert _unbuilt(service) == untouched  # the write built none of them
+
+    after = _start(tmp_path)
+    assert after == (_state(service), [])
+    # the header clock and every row are what a close after a full replay writes
+    assert after[0] == _full_replay(tmp_path)
+    assert path.read_bytes() == written
 
 
 # -- stale checkpoints -------------------------------------------------------
